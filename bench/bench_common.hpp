@@ -1,5 +1,5 @@
 // Shared infrastructure for the experiment harness (one binary per paper
-// table/figure; see DESIGN.md §5).
+// table/figure; see "Experiment harness" in docs/ARCHITECTURE.md).
 //
 // Default budgets are sized for a 2-core laptop so the whole bench suite
 // completes in tens of minutes. Every knob has an environment override:

@@ -2,11 +2,11 @@
 // five phone profiles for one 1x120x6 window, averaged over 10 runs (the
 // paper's measurement protocol).
 //
-// Substitution (DESIGN.md §3): we measure single-thread CPU inference locally
-// and scale by per-SoC relative-speed factors (Snapdragon 835 ... 888). The
-// reproduced shape: Saga == LIMU (identical graph), TPN/CL-HAR heads are
-// cheaper than the GRU classifier, every method stays in the low-millisecond
-// range on every device.
+// Substitution (the phones themselves are not available): we measure
+// single-thread CPU inference locally and scale by per-SoC relative-speed
+// factors (Snapdragon 835 ... 888). The reproduced shape: Saga == LIMU
+// (identical graph), TPN/CL-HAR heads are cheaper than the GRU classifier,
+// every method stays in the low-millisecond range on every device.
 #include <chrono>
 #include <cstdio>
 

@@ -23,11 +23,9 @@ std::vector<float> random_vec(std::size_t size, saga::util::Rng& rng) {
   return v;
 }
 
-// Kernel encoding for benchmark args: 0 = scalar, 1 = avx2,
-// 2 = scalar-blocked.
+// Kernel encoding for benchmark args: 0 = scalar, 1 = avx2.
 Kernel arg_kernel(std::int64_t arg) {
-  if (arg == 0) return Kernel::kScalar;
-  return arg == 1 ? Kernel::kAvx2 : Kernel::kScalarBlocked;
+  return arg == 1 ? Kernel::kAvx2 : Kernel::kScalar;
 }
 
 bool kernel_available(Kernel kernel) {
@@ -62,7 +60,7 @@ void BM_GemmSquare(benchmark::State& state) {
   run_gemm_bench(state, n, n, n, false, arg_kernel(state.range(1)));
 }
 BENCHMARK(BM_GemmSquare)
-    ->ArgsProduct({{64, 128, 256, 384, 512}, {0, 1, 2}})
+    ->ArgsProduct({{64, 128, 256, 384, 512}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // Model shapes (paper-size backbone: d_model 72, ffn 144, T=120, 4 heads of

@@ -8,15 +8,18 @@
 #   ./scripts/check.sh --tsan     ThreadSanitizer build into <repo>/build-tsan,
 #                                 running the serve + stream concurrency
 #                                 suites (SPSC ring producer/consumer pair,
-#                                 pump-thread handoff) plus the view-aliasing,
-#                                 fused-GRU and int8-quant suites (shared
-#                                 Storage buffers under the pooled matmul
-#                                 backward; gemm_s8's M-split over the pool;
-#                                 the full suite under TSan is too slow)
+#                                 pump-thread handoff), the thread pool itself
+#                                 (test_util: concurrent parallel_for callers)
+#                                 plus the view-aliasing, fused-GRU, fp32 GEMM
+#                                 and int8-quant suites (shared Storage
+#                                 buffers under the pooled matmul backward;
+#                                 the GEMMs' M-split over the pool; the full
+#                                 suite under TSan is too slow)
 #   ./scripts/check.sh --asan     AddressSanitizer build into <repo>/build-asan,
 #                                 running the tensor-stack + serve + stream +
-#                                 quant suites — the eltwise/gemm/gemm_s8
-#                                 kernel edge paths,
+#                                 quant + util suites — the eltwise/gemm/
+#                                 gemm_s8 kernel edge tiles, the pool's
+#                                 completion state on the caller's stack,
 #                                 the NoGrad tape-skip lifetimes, the backward
 #                                 closures over saved buffers, and the ring's
 #                                 wraparound indexing are where
@@ -27,9 +30,9 @@ cd "$(dirname "$0")/.."
 
 ASAN_TARGETS=(test_eltwise test_tensor_ops test_reduce_loss test_shape_ops
   test_matmul test_attention test_nn test_serve test_views test_gru_cell
-  test_stream test_quant)
+  test_stream test_quant test_util test_gemm_kernels)
 TSAN_TARGETS=(test_serve test_views test_gru_cell test_stream test_quant
-  test_eltwise)
+  test_eltwise test_util test_gemm_kernels)
 
 BUILD_DIR=build
 if [[ "${1:-}" == "--strict" ]]; then

@@ -1,5 +1,5 @@
 // Synthetic IMU corpora standing in for the HHAR / Motion / Shoaib datasets
-// (offline substitution; DESIGN.md §3).
+// (offline substitution: the real recordings are not bundled; see README.md).
 //
 // The generator is a parametric human-motion simulator constructed so that
 // exactly the semantic structure Saga exploits is present in the data:

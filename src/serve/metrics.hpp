@@ -2,8 +2,7 @@
 // observability: batch latency, batch size and queue depth distributions
 // (EngineStats), and per-request latency (LoadReport). Counters and EWMAs
 // answer "how much / how fast on average"; SLO work needs the shape of the
-// tail, which only a distribution carries (cf. Clio-style latency
-// accounting in PAPERS.md).
+// tail, which only a distribution carries.
 //
 // The bucket layout is FIXED at construction (a lower edge, a growth
 // factor, a bucket count) and identical layouts merge element-wise — that

@@ -22,56 +22,22 @@
 
 #include "tensor/eltwise/kernels.hpp"
 #include "tensor/shape_ops.hpp"
-#include "util/env.hpp"
 
 namespace saga::eltwise {
 
 namespace {
 
-bool cpu_has_avx2_fma() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
+using KernelTable = util::KernelTable<Kernel, const detail::Kernels*>;
+const KernelTable& kernels() {
+  static const KernelTable table{
+      {Kernel::kScalar, "scalar", &detail::scalar_kernels(), true},
+      {Kernel::kAvx2, "avx2-m256", detail::avx2_kernels(),
+       util::cpu_has(util::CpuFeature::kAvx2) &&
+           util::cpu_has(util::CpuFeature::kFma)}};
+  return table;
 }
 
-// SAGA_FORCE_SCALAR_ELTWISE=1 pins dispatch to the portable kernels; read
-// once per process (mirrors SAGA_FORCE_SCALAR_GEMM).
-bool force_scalar() {
-  static const bool forced = util::env_int("SAGA_FORCE_SCALAR_ELTWISE", 0) != 0;
-  return forced;
-}
-
-Kernel resolve_auto() {
-  static const Kernel picked =
-      (cpu_supports_avx2() && !force_scalar()) ? Kernel::kAvx2 : Kernel::kScalar;
-  return picked;
-}
-
-// Per-thread test/bench pin installed by ForceKernelGuard.
-thread_local Kernel t_forced = Kernel::kAuto;
-
-const detail::Kernels& table_for(Kernel kernel) {
-  switch (kernel) {
-    case Kernel::kScalar:
-      return detail::scalar_kernels();
-    case Kernel::kAvx2: {
-      const detail::Kernels* table = detail::avx2_kernels();
-      if (table == nullptr || !cpu_has_avx2_fma()) {
-        throw std::runtime_error(
-            "eltwise: AVX2 kernels requested but not available "
-            "(unsupported CPU or build)");
-      }
-      return *table;
-    }
-    case Kernel::kAuto:
-      break;
-  }
-  return table_for(t_forced != Kernel::kAuto ? t_forced : resolve_auto());
-}
-
-const detail::Kernels& active_table() { return table_for(Kernel::kAuto); }
+const detail::Kernels& active_table() { return *kernels().impl(); }
 
 void check_bias(const Tensor& x, const Tensor& bias, const char* op) {
   if (bias.dim() != 1 || x.dim() < 1 || x.size(-1) != bias.numel()) {
@@ -84,29 +50,11 @@ void check_bias(const Tensor& x, const Tensor& bias, const char* op) {
 
 }  // namespace
 
-bool cpu_supports_avx2() {
-  return detail::avx2_kernels() != nullptr && cpu_has_avx2_fma();
-}
+std::vector<Kernel> available_kernels() { return kernels().available(); }
 
-std::vector<Kernel> available_kernels() {
-  std::vector<Kernel> kernels{Kernel::kScalar};
-  if (cpu_supports_avx2() && !force_scalar()) kernels.push_back(Kernel::kAvx2);
-  return kernels;
-}
+std::string kernel_name(Kernel kernel) { return kernels().name(kernel); }
 
-std::string kernel_name(Kernel kernel) {
-  if (kernel == Kernel::kAuto) {
-    kernel = t_forced != Kernel::kAuto ? t_forced : resolve_auto();
-  }
-  return kernel == Kernel::kAvx2 ? "avx2-m256" : "scalar";
-}
-
-ForceKernelGuard::ForceKernelGuard(Kernel kernel) : previous_(t_forced) {
-  if (kernel != Kernel::kAuto) table_for(kernel);  // validates availability
-  t_forced = kernel;
-}
-
-ForceKernelGuard::~ForceKernelGuard() { t_forced = previous_; }
+ForceKernelGuard::ForceKernelGuard(Kernel kernel) : pin_(kernels(), kernel) {}
 
 Tensor bias_add(const Tensor& x_in, const Tensor& bias_in) {
   check_bias(x_in, bias_in, "bias_add");

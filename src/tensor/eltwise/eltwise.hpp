@@ -17,8 +17,8 @@
 // changes forward arithmetic). The scalar kernel performs exactly the
 // composed ops' per-element arithmetic, so forced-scalar fused results are
 // bit-identical to the composed reference; the AVX2 kernel agrees to
-// rounding (like gemm's kernels). SAGA_FORCE_SCALAR_ELTWISE=1 pins dispatch
-// to scalar (read once per process).
+// rounding (like gemm's kernels). SAGA_FORCE_SCALAR=1 pins dispatch to
+// scalar (read once per process).
 #pragma once
 
 #include <cstdint>
@@ -26,36 +26,32 @@
 #include <vector>
 
 #include "tensor/tensor.hpp"
+#include "util/dispatch.hpp"
 
 namespace saga::eltwise {
 
-/// Kernel selector. kAuto resolves at runtime: AVX2+FMA when the CPU and
-/// build support it and SAGA_FORCE_SCALAR_ELTWISE is unset, else scalar.
+/// Kernel selector. kAuto resolves at runtime (util/dispatch.hpp): AVX2+FMA
+/// when the CPU and build support it and SAGA_FORCE_SCALAR is unset, else
+/// scalar.
 enum class Kernel { kAuto, kScalar, kAvx2 };
 
-/// True when this build contains the AVX2 eltwise kernels and the CPU
-/// reports AVX2+FMA. Ignores the SAGA_FORCE_SCALAR_ELTWISE override.
-bool cpu_supports_avx2();
-
-/// Kernels dispatchable on this host, honoring SAGA_FORCE_SCALAR_ELTWISE.
-/// Always contains kScalar; test harnesses iterate this list.
+/// Kernels dispatchable on this host, scalar first, honoring
+/// SAGA_FORCE_SCALAR; test harnesses iterate this list.
 std::vector<Kernel> available_kernels();
 
 /// Human-readable kernel name, with kAuto resolved to the dispatcher's pick.
 std::string kernel_name(Kernel kernel = Kernel::kAuto);
 
-/// RAII guard pinning this thread's dispatch to one kernel — for tests and
-/// benches that compare kernels. Throws std::runtime_error if `kernel` is
-/// not available on this host. Nestable; restores the previous pin.
+/// RAII guard pinning this thread's dispatch to one kernel (util::KernelPin)
+/// — for tests and benches that compare kernels. Throws std::runtime_error
+/// if `kernel` is not available on this host. Nestable; restores the
+/// previous pin.
 class ForceKernelGuard {
  public:
   explicit ForceKernelGuard(Kernel kernel);
-  ~ForceKernelGuard();
-  ForceKernelGuard(const ForceKernelGuard&) = delete;
-  ForceKernelGuard& operator=(const ForceKernelGuard&) = delete;
 
  private:
-  Kernel previous_;
+  util::KernelPin<Kernel> pin_;
 };
 
 // ---- fused ops (autograd-aware, drop-in for their composed chains) -------

@@ -17,11 +17,10 @@
 #include "tensor/gemm/gemm.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
+#include "tensor/gemm/m_split.hpp"
 #include "tensor/gemm/microkernel.hpp"
-#include "util/env.hpp"
-#include "util/thread_pool.hpp"
+#include "util/dispatch.hpp"
 
 namespace saga::gemm {
 
@@ -37,58 +36,20 @@ constexpr std::int64_t kMC = 72;
 constexpr std::int64_t kKC = 256;
 constexpr std::int64_t kNC = 384;
 
-// Work below this many multiply-adds runs serially (kept from the original
-// matmul.cpp); below kDirectThreshold the kAuto path additionally skips
-// packing and uses the plain loop-order kernels where packing overhead would
-// dominate.
-constexpr std::int64_t kParallelThreshold = 1 << 15;
+// Below this many multiply-adds the kAuto path skips packing and uses the
+// plain loop-order kernels, where packing overhead would dominate.
 constexpr std::int64_t kDirectThreshold = 1 << 13;
 
-bool compiled_with_avx2() { return detail::avx2_microkernel() != nullptr; }
-
-bool cpu_has_avx2_fma() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-// SAGA_FORCE_SCALAR_GEMM=1 pins dispatch to the portable kernel; read once
-// per process (the forced-scalar ctest entry sets it before launch).
-bool force_scalar() {
-  static const bool forced = util::env_int("SAGA_FORCE_SCALAR_GEMM", 0) != 0;
-  return forced;
-}
-
-Kernel resolve_auto() {
-  static const Kernel picked = (cpu_supports_avx2() && !force_scalar())
-                                   ? Kernel::kAvx2
-                                   : Kernel::kScalar;
-  return picked;
-}
-
-// Micro-kernel for the blocked path; nullptr for kScalar, which runs the
-// direct loop-order code instead of the packed driver.
-detail::MicroKernelFn kernel_fn(Kernel kernel) {
-  switch (kernel) {
-    case Kernel::kScalar:
-      return nullptr;
-    case Kernel::kScalarBlocked:
-      return detail::scalar_microkernel();
-    case Kernel::kAvx2: {
-      detail::MicroKernelFn fn = detail::avx2_microkernel();
-      if (fn == nullptr || !cpu_has_avx2_fma() || force_scalar()) {
-        throw std::runtime_error(
-            "gemm: AVX2 kernel requested but not available "
-            "(unsupported CPU/build, or SAGA_FORCE_SCALAR_GEMM=1)");
-      }
-      return fn;
-    }
-    case Kernel::kAuto:
-      break;
-  }
-  return kernel_fn(resolve_auto());
+// Priority table. The implementation is the micro-kernel for the blocked
+// path; kScalar's nullptr selects the direct loop-order code instead.
+using KernelTable = util::KernelTable<Kernel, detail::MicroKernelFn>;
+const KernelTable& kernels() {
+  static const KernelTable table{
+      {Kernel::kScalar, "scalar", nullptr, true},
+      {Kernel::kAvx2, "avx2-6x16", detail::avx2_microkernel(),
+       util::cpu_has(util::CpuFeature::kAvx2) &&
+           util::cpu_has(util::CpuFeature::kFma)}};
+  return table;
 }
 
 // ---------------------------------------------------------------------------
@@ -248,33 +209,9 @@ void zero_rows(float* c, std::int64_t ldc, std::int64_t m0, std::int64_t m1,
 
 }  // namespace
 
-bool cpu_supports_avx2() { return compiled_with_avx2() && cpu_has_avx2_fma(); }
+std::vector<Kernel> available_kernels() { return kernels().available(); }
 
-bool cpu_supports_avx512f() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
-std::vector<Kernel> available_kernels() {
-  std::vector<Kernel> kernels{Kernel::kScalar, Kernel::kScalarBlocked};
-  if (cpu_supports_avx2() && !force_scalar()) kernels.push_back(Kernel::kAvx2);
-  return kernels;
-}
-
-std::string kernel_name(Kernel kernel) {
-  if (kernel == Kernel::kAuto) kernel = resolve_auto();
-  switch (kernel) {
-    case Kernel::kAvx2:
-      return "avx2-6x16";
-    case Kernel::kScalarBlocked:
-      return "scalar-blocked";
-    default:
-      return "scalar";
-  }
-}
+std::string kernel_name(Kernel kernel) { return kernels().name(kernel); }
 
 void gemm(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
           float* c, std::int64_t ldc, std::int64_t m, std::int64_t n,
@@ -285,38 +222,20 @@ void gemm(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
   if (k <= 0) return;
 
   const std::int64_t work = m * n * k;
-  Kernel resolved = kernel == Kernel::kAuto ? resolve_auto() : kernel;
   // Tiny problems skip packing: the direct loops win when panel setup costs
   // rival the whole product (explicit kernel requests are honored as-is so
   // the test harness can drive the packed path at any size).
-  if (kernel == Kernel::kAuto && work < kDirectThreshold) {
-    resolved = Kernel::kScalar;
-  }
-  detail::MicroKernelFn kern = kernel_fn(resolved);
-  const auto run_range = [&](std::int64_t lo, std::int64_t hi) {
+  const detail::MicroKernelFn kern = kernels().impl(
+      kernel == Kernel::kAuto && work < kDirectThreshold ? Kernel::kScalar
+                                                         : kernel);
+  detail::split_m(m, work, parallel, [&](std::int64_t lo, std::int64_t hi) {
     if (kern == nullptr) {
       direct_range(a, lda, b, ldb, c, ldc, lo, hi, n, k, trans_a, trans_b);
     } else {
       blocked_range(a, lda, b, ldb, c, ldc, lo, hi, n, k, trans_a, trans_b,
                     kern);
     }
-  };
-
-  const std::size_t threads = util::ThreadPool::global().size();
-  if (!parallel || work < kParallelThreshold || m == 1 || threads <= 1) {
-    run_range(0, m);
-    return;
-  }
-  const std::int64_t chunk =
-      std::max<std::int64_t>(1, (m + static_cast<std::int64_t>(threads) - 1) /
-                                    static_cast<std::int64_t>(threads));
-  const std::int64_t num_chunks = (m + chunk - 1) / chunk;
-  util::ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(num_chunks), [&](std::size_t ci) {
-        const std::int64_t lo = static_cast<std::int64_t>(ci) * chunk;
-        const std::int64_t hi = std::min(m, lo + chunk);
-        run_range(lo, hi);
-      });
+  });
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,

@@ -21,30 +21,18 @@
 
 namespace saga::gemm {
 
-/// Kernel selector. `kAuto` resolves at runtime: AVX2+FMA when the CPU and
-/// build support it and SAGA_FORCE_SCALAR_GEMM is unset, else the portable
-/// scalar fallback.
-///   kScalar        — the pre-blocking loop-order code, retained as the
-///                    portable fallback (no packing; fastest scalar choice on
-///                    hosts whose compiler auto-vectorizes streaming loops)
-///   kScalarBlocked — the blocked/packed driver with a plain-C micro-kernel;
-///                    exercises the exact packing machinery the AVX2 path
-///                    uses, so kernel bugs can be isolated from packing bugs
-///   kAvx2          — blocked/packed driver with the AVX2+FMA 6x16 kernel
-enum class Kernel { kAuto, kScalar, kScalarBlocked, kAvx2 };
+/// Kernel selector. `kAuto` resolves at runtime (util/dispatch.hpp): the
+/// AVX2+FMA kernel when the CPU and build support it and SAGA_FORCE_SCALAR
+/// is unset, else the portable scalar fallback.
+///   kScalar — the pre-blocking loop-order code, retained as the portable
+///             fallback (no packing; fastest scalar choice on hosts whose
+///             compiler auto-vectorizes streaming loops)
+///   kAvx2   — blocked/packed driver with the AVX2+FMA 6x16 kernel
+enum class Kernel { kAuto, kScalar, kAvx2 };
 
-/// True when this build contains the AVX2 micro-kernel and the CPU reports
-/// AVX2+FMA. Ignores the SAGA_FORCE_SCALAR_GEMM override.
-bool cpu_supports_avx2();
-
-/// True when the CPU reports AVX-512 Foundation. No avx512 micro-kernel
-/// exists yet (ROADMAP follow-up: wider NR, masked edge tiles); this probe
-/// is printed by examples/gemm_info so CI logs show host readiness.
-bool cpu_supports_avx512f();
-
-/// Kernels `gemm` will accept on this host, honoring SAGA_FORCE_SCALAR_GEMM
-/// (read once per process). Always contains kScalar; test harnesses iterate
-/// this list to reference-check every dispatchable path.
+/// Kernels `gemm` will accept on this host, scalar first, honoring
+/// SAGA_FORCE_SCALAR; test harnesses iterate this list to reference-check
+/// every dispatchable path.
 std::vector<Kernel> available_kernels();
 
 /// Human-readable name of `kernel`, with kAuto resolved to the kernel the

@@ -9,13 +9,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "tensor/gemm/m_split.hpp"
 #include "tensor/gemm/microkernel_s8.hpp"
-#include "util/env.hpp"
-#include "util/thread_pool.hpp"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <cpuid.h>
-#endif
 
 namespace saga::gemm {
 
@@ -25,84 +20,24 @@ using detail::kKU8;
 using detail::kMR8;
 using detail::kNR8;
 
-// Work below this many multiply-adds runs serially (same threshold as the
-// fp32 driver).
-constexpr std::int64_t kParallelThreshold = 1 << 15;
-
-bool compiled_with_int8_avx2() {
-  return detail::avx2_s8_microkernel() != nullptr;
-}
-
-bool cpu_has_avx2() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-// The EVEX-encoded 256-bit vpdpbusd additionally needs AVX512VL; the builtin
-// also folds in the XSAVE/XCR0 opmask+zmm state check, which raw CPUID bits
-// alone would miss. (For the VEX kernel, cpu_has_avx2() covers YMM state —
-// "avxvnni" is not a portable __builtin_cpu_supports token.)
-bool cpu_has_avx512vl() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512vl");
-#else
-  return false;
-#endif
-}
-
-// SAGA_FORCE_SCALAR_GEMM pins the int8 path along with the fp32 one: a
-// forced-scalar test run should exercise no SIMD GEMM of any precision.
-bool force_scalar() {
-  static const bool forced = util::env_int("SAGA_FORCE_SCALAR_GEMM", 0) != 0;
-  return forced;
-}
-
-// Per-thread test/bench pin installed by ForceInt8KernelGuard.
-thread_local Int8Kernel t_forced = Int8Kernel::kAuto;
-
-Int8Kernel resolve_auto() {
-  if (t_forced != Int8Kernel::kAuto) return t_forced;
-  static const Int8Kernel picked = [] {
-    if (force_scalar()) return Int8Kernel::kScalar;
-    if (cpu_supports_int8_avx512vnni()) return Int8Kernel::kAvx512Vnni;
-    if (cpu_supports_int8_avxvnni()) return Int8Kernel::kAvxVnni;
-    if (cpu_supports_int8_avx2()) return Int8Kernel::kAvx2;
-    return Int8Kernel::kScalar;
-  }();
-  return picked;
-}
-
-bool kernel_available(Int8Kernel kernel) {
-  switch (kernel) {
-    case Int8Kernel::kAuto:
-    case Int8Kernel::kScalar:
-      return true;
-    case Int8Kernel::kAvx2:
-      return cpu_supports_int8_avx2() && !force_scalar();
-    case Int8Kernel::kAvxVnni:
-      return cpu_supports_int8_avxvnni() && !force_scalar();
-    case Int8Kernel::kAvx512Vnni:
-      return cpu_supports_int8_avx512vnni() && !force_scalar();
-  }
-  return false;
-}
-
-detail::Int8MicroKernelFn kernel_fn(Int8Kernel resolved) {
-  switch (resolved) {
-    case Int8Kernel::kAvx2:
-      return detail::avx2_s8_microkernel();
-    case Int8Kernel::kAvxVnni:
-      return detail::avxvnni_s8_microkernel();
-    case Int8Kernel::kAvx512Vnni:
-      return detail::avx512vnni_s8_microkernel();
-    case Int8Kernel::kAuto:
-    case Int8Kernel::kScalar:
-      return nullptr;
-  }
-  return nullptr;
+// Priority table; the implementation is the SIMD micro-kernel, and
+// kScalar's nullptr selects scalar_range. The raw VNNI CPUID bits are paired
+// with the feature whose builtin probe covers the OS register-state check:
+// AVX2 (YMM) for the VEX kernel, AVX512VL (opmask + ZMM) for the EVEX one.
+using KernelTable = util::KernelTable<Int8Kernel, detail::Int8MicroKernelFn>;
+const KernelTable& kernels() {
+  using util::cpu_has;
+  using util::CpuFeature;
+  static const KernelTable table{
+      {Int8Kernel::kScalar, "scalar", nullptr, true},
+      {Int8Kernel::kAvx2, "avx2-maddubs", detail::avx2_s8_microkernel(),
+       cpu_has(CpuFeature::kAvx2)},
+      {Int8Kernel::kAvxVnni, "avx-vnni", detail::avxvnni_s8_microkernel(),
+       cpu_has(CpuFeature::kAvxVnni) && cpu_has(CpuFeature::kAvx2)},
+      {Int8Kernel::kAvx512Vnni, "avx512-vnni",
+       detail::avx512vnni_s8_microkernel(),
+       cpu_has(CpuFeature::kAvx512Vnni) && cpu_has(CpuFeature::kAvx512Vl)}};
+  return table;
 }
 
 // Scalar reference: exact triple loop reading B through the packed layout
@@ -190,85 +125,22 @@ void check_a_range(const std::uint8_t* a, std::int64_t lda, std::int64_t m,
 
 }  // namespace
 
-bool cpu_supports_int8_avx2() {
-  return compiled_with_int8_avx2() && cpu_has_avx2();
-}
-
-bool cpu_supports_int8_avxvnni() {
-  // cpu_has_avx2() stands in for the OS YMM-state check that raw CPUID leaf
-  // 7.1 alone does not make.
-  return detail::avxvnni_s8_microkernel() != nullptr &&
-         cpu_supports_avx2_vnni() && cpu_has_avx2();
-}
-
-bool cpu_supports_int8_avx512vnni() {
-  return detail::avx512vnni_s8_microkernel() != nullptr &&
-         cpu_supports_avx512_vnni() && cpu_has_avx512vl();
-}
-
-bool cpu_supports_avx2_vnni() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (eax & (1U << 4)) != 0;  // AVX-VNNI
-#else
-  return false;
-#endif
-}
-
-bool cpu_supports_avx512_vnni() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (ecx & (1U << 11)) != 0;  // AVX512_VNNI
-#else
-  return false;
-#endif
-}
-
 std::vector<Int8Kernel> available_int8_kernels() {
-  std::vector<Int8Kernel> kernels{Int8Kernel::kScalar};
-  for (Int8Kernel k : {Int8Kernel::kAvx2, Int8Kernel::kAvxVnni,
-                       Int8Kernel::kAvx512Vnni}) {
-    if (kernel_available(k)) kernels.push_back(k);
-  }
-  return kernels;
+  return kernels().available();
 }
 
 std::string int8_kernel_name(Int8Kernel kernel) {
-  if (kernel == Int8Kernel::kAuto) kernel = resolve_auto();
-  switch (kernel) {
-    case Int8Kernel::kAvx2:
-      return "avx2-maddubs";
-    case Int8Kernel::kAvxVnni:
-      return "avx-vnni";
-    case Int8Kernel::kAvx512Vnni:
-      return "avx512-vnni";
-    case Int8Kernel::kAuto:
-    case Int8Kernel::kScalar:
-      break;
-  }
-  return "scalar";
+  return kernels().name(kernel);
 }
 
-Int8Kernel resolved_int8_kernel() { return resolve_auto(); }
+Int8Kernel resolved_int8_kernel() { return kernels().resolve(); }
 
 bool int8_kernel_allows_8bit(Int8Kernel kernel) {
-  if (kernel == Int8Kernel::kAuto) kernel = resolve_auto();
-  return kernel != Int8Kernel::kAvx2;
+  return kernels().resolve(kernel) != Int8Kernel::kAvx2;
 }
 
 ForceInt8KernelGuard::ForceInt8KernelGuard(Int8Kernel kernel)
-    : previous_(t_forced) {
-  if (!kernel_available(kernel)) {
-    throw std::runtime_error("gemm_s8: cannot force kernel '" +
-                             int8_kernel_name(kernel) +
-                             "': not available on this host");
-  }
-  t_forced = kernel;
-}
-
-ForceInt8KernelGuard::~ForceInt8KernelGuard() { t_forced = previous_; }
+    : pin_(kernels(), kernel) {}
 
 PackedB8 pack_b8(const std::int8_t* b, std::int64_t k, std::int64_t n) {
   PackedB8 packed;
@@ -304,39 +176,18 @@ void gemm_s8(const std::uint8_t* a, std::int64_t lda, const PackedB8& b,
     }
     return;
   }
-  if (!kernel_available(kernel)) {
-    throw std::runtime_error("gemm_s8: kernel '" + int8_kernel_name(kernel) +
-                             "' requested but not available (unsupported "
-                             "CPU/build, or SAGA_FORCE_SCALAR_GEMM=1)");
+  const detail::Int8MicroKernelFn kern = kernels().impl(kernel);
+  if (kernels().resolve(kernel) == Int8Kernel::kAvx2) {
+    check_a_range(a, lda, m, b.k);
   }
-  const Int8Kernel resolved =
-      kernel == Int8Kernel::kAuto ? resolve_auto() : kernel;
-  if (resolved == Int8Kernel::kAvx2) check_a_range(a, lda, m, b.k);
-  detail::Int8MicroKernelFn kern = kernel_fn(resolved);
-  const auto run_range = [&](std::int64_t lo, std::int64_t hi) {
-    if (kern == nullptr) {
-      scalar_range(a, lda, b, c, ldc, lo, hi);
-    } else {
-      simd_range(a, lda, b, c, ldc, lo, hi, kern);
-    }
-  };
-
-  const std::size_t threads = util::ThreadPool::global().size();
-  const std::int64_t work = m * b.n * b.k;
-  if (!parallel || work < kParallelThreshold || m == 1 || threads <= 1) {
-    run_range(0, m);
-    return;
-  }
-  const std::int64_t chunk =
-      std::max<std::int64_t>(1, (m + static_cast<std::int64_t>(threads) - 1) /
-                                    static_cast<std::int64_t>(threads));
-  const std::int64_t num_chunks = (m + chunk - 1) / chunk;
-  util::ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(num_chunks), [&](std::size_t ci) {
-        const std::int64_t lo = static_cast<std::int64_t>(ci) * chunk;
-        const std::int64_t hi = std::min(m, lo + chunk);
-        run_range(lo, hi);
-      });
+  detail::split_m(m, m * b.n * b.k, parallel,
+                  [&](std::int64_t lo, std::int64_t hi) {
+                    if (kern == nullptr) {
+                      scalar_range(a, lda, b, c, ldc, lo, hi);
+                    } else {
+                      simd_range(a, lda, b, c, ldc, lo, hi, kern);
+                    }
+                  });
 }
 
 }  // namespace saga::gemm

@@ -31,31 +31,19 @@
 #include <string>
 #include <vector>
 
+#include "util/dispatch.hpp"
+
 namespace saga::gemm {
 
-/// Kernel selector for the int8 path. `kAuto` resolves at runtime in
-/// priority order avx512-vnni > avx-vnni > avx2-maddubs > scalar, skipping
-/// kernels the CPU or build lacks; a ForceInt8KernelGuard pin wins, and
-/// SAGA_FORCE_SCALAR_GEMM=1 pins everything to the portable scalar
-/// reference.
+/// Kernel selector for the int8 path. `kAuto` resolves at runtime
+/// (util/dispatch.hpp) in priority order avx512-vnni > avx-vnni >
+/// avx2-maddubs > scalar, skipping kernels the CPU or build lacks; a
+/// ForceInt8KernelGuard pin wins, and SAGA_FORCE_SCALAR=1 leaves only the
+/// portable scalar reference.
 enum class Int8Kernel { kAuto, kScalar, kAvx2, kAvxVnni, kAvx512Vnni };
 
-/// True when this build contains the named micro-kernel and the CPU reports
-/// the matching ISA (maddubs: AVX2; vpdpbusd VEX: AVX-VNNI; vpdpbusd EVEX:
-/// AVX512-VNNI + AVX512VL). Ignore SAGA_FORCE_SCALAR_GEMM and guard pins.
-bool cpu_supports_int8_avx2();
-bool cpu_supports_int8_avxvnni();
-bool cpu_supports_int8_avx512vnni();
-
-/// Raw CPUID probes for the VNNI dot-product extensions (AVX-VNNI: leaf 7.1
-/// EAX bit 4; AVX512_VNNI: leaf 7.0 ECX bit 11), independent of whether this
-/// build compiled the kernels; examples/gemm_info prints both in every CI
-/// job so a silent scalar fallback is detectable in logs.
-bool cpu_supports_avx2_vnni();
-bool cpu_supports_avx512_vnni();
-
 /// The kernel kAuto resolves to right now (honors the current thread's
-/// ForceInt8KernelGuard pin and SAGA_FORCE_SCALAR_GEMM). Never kAuto.
+/// ForceInt8KernelGuard pin and SAGA_FORCE_SCALAR). Never kAuto.
 Int8Kernel resolved_int8_kernel();
 
 /// True when `kernel` computes exact products for full 8-bit A values
@@ -64,9 +52,8 @@ Int8Kernel resolved_int8_kernel();
 /// to pick the activation encoding.
 bool int8_kernel_allows_8bit(Int8Kernel kernel = Int8Kernel::kAuto);
 
-/// Kernels `gemm_s8` will accept on this host, honoring the per-thread
-/// ForceInt8KernelGuard pin and SAGA_FORCE_SCALAR_GEMM (read once per
-/// process). Always contains kScalar.
+/// Kernels `gemm_s8` will accept on this host, scalar first, honoring
+/// SAGA_FORCE_SCALAR. Always contains kScalar.
 std::vector<Int8Kernel> available_int8_kernels();
 
 /// Human-readable name of `kernel`, with kAuto resolved to the kernel the
@@ -74,19 +61,16 @@ std::vector<Int8Kernel> available_int8_kernels();
 /// "scalar").
 std::string int8_kernel_name(Int8Kernel kernel = Int8Kernel::kAuto);
 
-/// RAII pin of int8 dispatch for the current thread (mirrors
+/// RAII pin of int8 dispatch for the current thread (util::KernelPin, as
 /// eltwise::ForceKernelGuard): while alive, kAuto resolves to `kernel`.
 /// Nestable; restores the previous pin on destruction. Throws
 /// std::runtime_error if `kernel` is not available on this host.
 class ForceInt8KernelGuard {
  public:
   explicit ForceInt8KernelGuard(Int8Kernel kernel);
-  ~ForceInt8KernelGuard();
-  ForceInt8KernelGuard(const ForceInt8KernelGuard&) = delete;
-  ForceInt8KernelGuard& operator=(const ForceInt8KernelGuard&) = delete;
 
  private:
-  Int8Kernel previous_;
+  util::KernelPin<Int8Kernel> pin_;
 };
 
 /// B[K,N] prepacked for the int8 kernels (layout in microkernel_s8.hpp),

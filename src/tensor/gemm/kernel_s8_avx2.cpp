@@ -1,122 +1,32 @@
-// AVX2 maddubs int8 micro-kernel: 8 rows x 8 columns of s32 accumulators.
-// Like kernel_avx2.cpp this translation unit is compiled with -mavx2 (see
-// CMakeLists); the rest of the library stays baseline-ISA and the driver
-// only dispatches here after a CPUID check.
-//
-// Per k-group: one 32-byte B load covers 8 columns x 4 depths; each row
-// broadcasts its 4 activation bytes, `_mm256_maddubs_epi16` forms the u8*s8
-// byte-pair sums (exact — A is 7-bit, so |pair| <= 32258 < 32767), and
-// `_mm256_madd_epi16` against ones folds the pairs into the s32 accumulator.
-// 32 multiply-adds per row-instruction-pair vs 8 for the fp32 FMA kernel.
+// AVX2 int8 micro-kernel: the shared 8x8 body (kernel_s8_body.hpp) with the
+// maddubs row update. `_mm256_maddubs_epi16` forms u8*s8 byte-pair sums in
+// s16 — exact only because A is 7-bit, so |pair| <= 32258 < 32767 — and
+// `_mm256_madd_epi16` against ones folds them into the s32 accumulator.
+// Compiled with -mavx2 (see CMakeLists); the driver dispatches here only
+// after a runtime CPUID check.
 #include "tensor/gemm/microkernel_s8.hpp"
 
 #if defined(__AVX2__)
 
-#include <immintrin.h>
-
-#include <cstring>
+#include "tensor/gemm/kernel_s8_body.hpp"
 
 namespace saga::gemm::detail {
 
 namespace {
 
-// Broadcast the 4-byte activation quad at `p` into every 32-bit lane.
-inline __m256i bcast_quad(const std::uint8_t* p) {
-  std::int32_t quad;
-  std::memcpy(&quad, p, sizeof(quad));
-  return _mm256_set1_epi32(quad);
-}
-
-// One row update: maddubs forms the u8*s8 byte-pair sums, madd-by-ones
-// folds them into s32, the add lands in the accumulator.
-inline __m256i row_update(__m256i acc, __m256i avec, __m256i bvec,
-                          __m256i ones) {
-  const __m256i pairs = _mm256_maddubs_epi16(avec, bvec);
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
-}
-
-// Full-height tile: eight NAMED accumulators so they live in ymm registers
-// across the whole k sweep instead of the stack slots GCC assigns to a
-// __m256i acc[8] array (same treatment as the VNNI kernels — see
-// kernel_s8_avxvnni.cpp). Pure integer ops: results are bit-identical to
-// the array form.
-void kernel_rows8(std::int64_t kc_groups, const std::uint8_t* a,
-                  std::int64_t lda, const std::int8_t* b_panel,
-                  std::int32_t* c, std::int64_t ldc, std::int64_t nr) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i c0 = _mm256_setzero_si256();
-  __m256i c1 = _mm256_setzero_si256();
-  __m256i c2 = _mm256_setzero_si256();
-  __m256i c3 = _mm256_setzero_si256();
-  __m256i c4 = _mm256_setzero_si256();
-  __m256i c5 = _mm256_setzero_si256();
-  __m256i c6 = _mm256_setzero_si256();
-  __m256i c7 = _mm256_setzero_si256();
-  for (std::int64_t g = 0; g < kc_groups; ++g) {
-    const __m256i bvec = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b_panel + g * kNR8 * kKU8));
-    const std::uint8_t* ag = a + g * kKU8;
-    c0 = row_update(c0, bcast_quad(ag), bvec, ones);
-    c1 = row_update(c1, bcast_quad(ag + lda), bvec, ones);
-    c2 = row_update(c2, bcast_quad(ag + 2 * lda), bvec, ones);
-    c3 = row_update(c3, bcast_quad(ag + 3 * lda), bvec, ones);
-    c4 = row_update(c4, bcast_quad(ag + 4 * lda), bvec, ones);
-    c5 = row_update(c5, bcast_quad(ag + 5 * lda), bvec, ones);
-    c6 = row_update(c6, bcast_quad(ag + 6 * lda), bvec, ones);
-    c7 = row_update(c7, bcast_quad(ag + 7 * lda), bvec, ones);
+struct MaddubsUpdate {
+  __m256i ones = _mm256_set1_epi16(1);
+  __m256i operator()(__m256i acc, __m256i avec, __m256i bvec) const {
+    const __m256i pairs = _mm256_maddubs_epi16(avec, bvec);
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
   }
-  const __m256i acc[kMR8] = {c0, c1, c2, c3, c4, c5, c6, c7};
-  if (nr == kNR8) {
-    for (std::int64_t r = 0; r < kMR8; ++r) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + r * ldc), acc[r]);
-    }
-    return;
-  }
-  alignas(32) std::int32_t buf[kNR8];
-  for (std::int64_t r = 0; r < kMR8; ++r) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(buf), acc[r]);
-    std::int32_t* crow = c + r * ldc;
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] = buf[j];
-  }
-}
-
-void kernel_s8_avx2_8x8(std::int64_t kc_groups, const std::uint8_t* a,
-                        std::int64_t lda, const std::int8_t* b_panel,
-                        std::int32_t* c, std::int64_t ldc, std::int64_t mr,
-                        std::int64_t nr) {
-  if (mr == kMR8) {
-    kernel_rows8(kc_groups, a, lda, b_panel, c, ldc, nr);
-    return;
-  }
-  // Ragged M tail (at most once per GEMM): the generic array form is fine.
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc[kMR8];
-  for (std::int64_t r = 0; r < mr; ++r) acc[r] = _mm256_setzero_si256();
-  for (std::int64_t g = 0; g < kc_groups; ++g) {
-    const __m256i bvec = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b_panel + g * kNR8 * kKU8));
-    for (std::int64_t r = 0; r < mr; ++r) {
-      acc[r] = row_update(acc[r], bcast_quad(a + r * lda + g * kKU8), bvec,
-                          ones);
-    }
-  }
-  if (nr == kNR8) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + r * ldc), acc[r]);
-    }
-    return;
-  }
-  alignas(32) std::int32_t buf[kNR8];
-  for (std::int64_t r = 0; r < mr; ++r) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(buf), acc[r]);
-    std::int32_t* crow = c + r * ldc;
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] = buf[j];
-  }
-}
+};
 
 }  // namespace
 
-Int8MicroKernelFn avx2_s8_microkernel() { return &kernel_s8_avx2_8x8; }
+Int8MicroKernelFn avx2_s8_microkernel() {
+  return &kernel_s8_8x8<MaddubsUpdate>;
+}
 
 }  // namespace saga::gemm::detail
 

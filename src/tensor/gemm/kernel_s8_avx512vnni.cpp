@@ -1,109 +1,29 @@
-// AVX512-VNNI vpdpbusd int8 micro-kernel (EVEX-encoded, 256-bit via
-// AVX512VL): the server-CPU twin of kernel_s8_avxvnni.cpp. The body is the
-// same 8x8 panel walk; only the intrinsic differs (`_mm256_dpbusd_epi32`,
-// which requires AVX512VNNI+VL, vs the VEX `_mm256_dpbusd_avx_epi32`). Like
-// the VEX flavor, vpdpbusd accumulates u8*s8 k-group quads straight into
-// s32 with no s16 intermediate, so full 8-bit A values (0..255) are exact.
-//
-// Staying at 256-bit keeps the micro-tile, packing layout, and per-column
-// sums shared with every other int8 kernel (bit-identity by construction)
-// and sidesteps 512-bit license-based frequency concerns at Saga's small
-// serve-path shapes; the EVEX encoding still gets the fused dot-product.
-//
-// Compiled with -mavx512vnni -mavx512vl only (see CMakeLists); dispatched
-// after a runtime CPUID check.
+// AVX512-VNNI int8 micro-kernel: the shared 8x8 body (kernel_s8_body.hpp)
+// with the EVEX `vpdpbusd` row update at 256 bits (AVX512VNNI+VL), exact over
+// the full 8-bit A range like the VEX flavor. Staying at 256 bits keeps the
+// micro-tile and packing shared with every other int8 kernel and avoids
+// 512-bit frequency licensing at Saga's small serve shapes. Compiled with
+// -mavx512f -mavx512vl -mavx512vnni; dispatched after a runtime CPUID check.
 #include "tensor/gemm/microkernel_s8.hpp"
 
 #if defined(__AVX512VNNI__) && defined(__AVX512VL__)
 
-#include <immintrin.h>
-
-#include <cstring>
+#include "tensor/gemm/kernel_s8_body.hpp"
 
 namespace saga::gemm::detail {
 
 namespace {
 
-// Broadcast the 4-byte activation quad at `p` into every 32-bit lane.
-inline __m256i bcast_quad(const std::uint8_t* p) {
-  std::int32_t quad;
-  std::memcpy(&quad, p, sizeof(quad));
-  return _mm256_set1_epi32(quad);
-}
-
-void store_rows(const __m256i* acc, std::int32_t* c, std::int64_t ldc,
-                std::int64_t mr, std::int64_t nr) {
-  if (nr == kNR8) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + r * ldc), acc[r]);
-    }
-    return;
+struct DpbusdEvex {
+  __m256i operator()(__m256i acc, __m256i avec, __m256i bvec) const {
+    return _mm256_dpbusd_epi32(acc, avec, bvec);
   }
-  alignas(32) std::int32_t buf[kNR8];
-  for (std::int64_t r = 0; r < mr; ++r) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(buf), acc[r]);
-    std::int32_t* crow = c + r * ldc;
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] = buf[j];
-  }
-}
-
-// Full-height tile: eight NAMED accumulators so they live in ymm registers
-// across the whole k sweep (see kernel_s8_avxvnni.cpp — an acc[] array gets
-// stack slots and every vpdpbusd update store-forwards through memory).
-void kernel_rows8(std::int64_t kc_groups, const std::uint8_t* a,
-                  std::int64_t lda, const std::int8_t* b_panel,
-                  std::int32_t* c, std::int64_t ldc, std::int64_t nr) {
-  __m256i c0 = _mm256_setzero_si256();
-  __m256i c1 = _mm256_setzero_si256();
-  __m256i c2 = _mm256_setzero_si256();
-  __m256i c3 = _mm256_setzero_si256();
-  __m256i c4 = _mm256_setzero_si256();
-  __m256i c5 = _mm256_setzero_si256();
-  __m256i c6 = _mm256_setzero_si256();
-  __m256i c7 = _mm256_setzero_si256();
-  for (std::int64_t g = 0; g < kc_groups; ++g) {
-    const __m256i bvec = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b_panel + g * kNR8 * kKU8));
-    const std::uint8_t* ag = a + g * kKU8;
-    c0 = _mm256_dpbusd_epi32(c0, bcast_quad(ag), bvec);
-    c1 = _mm256_dpbusd_epi32(c1, bcast_quad(ag + lda), bvec);
-    c2 = _mm256_dpbusd_epi32(c2, bcast_quad(ag + 2 * lda), bvec);
-    c3 = _mm256_dpbusd_epi32(c3, bcast_quad(ag + 3 * lda), bvec);
-    c4 = _mm256_dpbusd_epi32(c4, bcast_quad(ag + 4 * lda), bvec);
-    c5 = _mm256_dpbusd_epi32(c5, bcast_quad(ag + 5 * lda), bvec);
-    c6 = _mm256_dpbusd_epi32(c6, bcast_quad(ag + 6 * lda), bvec);
-    c7 = _mm256_dpbusd_epi32(c7, bcast_quad(ag + 7 * lda), bvec);
-  }
-  const __m256i acc[kMR8] = {c0, c1, c2, c3, c4, c5, c6, c7};
-  store_rows(acc, c, ldc, kMR8, nr);
-}
-
-void kernel_s8_avx512vnni_8x8(std::int64_t kc_groups, const std::uint8_t* a,
-                              std::int64_t lda, const std::int8_t* b_panel,
-                              std::int32_t* c, std::int64_t ldc,
-                              std::int64_t mr, std::int64_t nr) {
-  if (mr == kMR8) {
-    kernel_rows8(kc_groups, a, lda, b_panel, c, ldc, nr);
-    return;
-  }
-  // Ragged M tail (at most once per GEMM): the generic array form is fine.
-  __m256i acc[kMR8];
-  for (std::int64_t r = 0; r < mr; ++r) acc[r] = _mm256_setzero_si256();
-  for (std::int64_t g = 0; g < kc_groups; ++g) {
-    const __m256i bvec = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b_panel + g * kNR8 * kKU8));
-    for (std::int64_t r = 0; r < mr; ++r) {
-      acc[r] = _mm256_dpbusd_epi32(acc[r], bcast_quad(a + r * lda + g * kKU8),
-                                   bvec);
-    }
-  }
-  store_rows(acc, c, ldc, mr, nr);
-}
+};
 
 }  // namespace
 
 Int8MicroKernelFn avx512vnni_s8_microkernel() {
-  return &kernel_s8_avx512vnni_8x8;
+  return &kernel_s8_8x8<DpbusdEvex>;
 }
 
 }  // namespace saga::gemm::detail

@@ -1,111 +1,30 @@
-// AVX-VNNI vpdpbusd int8 micro-kernel: 8 rows x 8 columns of s32
-// accumulators, the VEX-encoded flavor for CPUs that have AVX-VNNI without
-// the AVX512 state (hybrid client parts). Same panel layout and loop
-// structure as kernel_s8_avx2.cpp, but `vpdpbusd` fuses the maddubs+madd
-// pair into one instruction that accumulates the four u8*s8 products of a
-// k-group straight into the s32 lane — there is no s16 intermediate to
-// saturate, so full 8-bit A values (0..255) stay exact. The 7-bit activation
-// cap is a maddubs-only restriction (see gemm_s8.hpp).
-//
-// This translation unit is the only one compiled with -mavxvnni (see
-// CMakeLists); the driver dispatches here only after a runtime CPUID check.
-// kernel_s8_avx512vnni.cpp is the EVEX twin for AVX512-VNNI hosts.
+// AVX-VNNI int8 micro-kernel: the shared 8x8 body (kernel_s8_body.hpp) with
+// the VEX `vpdpbusd` row update, for CPUs with AVX-VNNI but no AVX512 state
+// (hybrid client parts). vpdpbusd accumulates each k-group's four u8*s8
+// products straight into s32 — no s16 intermediate to saturate, so full
+// 8-bit A values (0..255) stay exact. Compiled with -mavx2 -mavxvnni (see
+// CMakeLists); dispatched only after a runtime CPUID check.
 #include "tensor/gemm/microkernel_s8.hpp"
 
 #if defined(__AVXVNNI__)
 
-#include <immintrin.h>
-
-#include <cstring>
+#include "tensor/gemm/kernel_s8_body.hpp"
 
 namespace saga::gemm::detail {
 
 namespace {
 
-// Broadcast the 4-byte activation quad at `p` into every 32-bit lane.
-inline __m256i bcast_quad(const std::uint8_t* p) {
-  std::int32_t quad;
-  std::memcpy(&quad, p, sizeof(quad));
-  return _mm256_set1_epi32(quad);
-}
-
-void store_rows(const __m256i* acc, std::int32_t* c, std::int64_t ldc,
-                std::int64_t mr, std::int64_t nr) {
-  if (nr == kNR8) {
-    for (std::int64_t r = 0; r < mr; ++r) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + r * ldc), acc[r]);
-    }
-    return;
+struct DpbusdVex {
+  __m256i operator()(__m256i acc, __m256i avec, __m256i bvec) const {
+    return _mm256_dpbusd_avx_epi32(acc, avec, bvec);
   }
-  alignas(32) std::int32_t buf[kNR8];
-  for (std::int64_t r = 0; r < mr; ++r) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(buf), acc[r]);
-    std::int32_t* crow = c + r * ldc;
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] = buf[j];
-  }
-}
-
-// Full-height tile: eight NAMED accumulators so they live in ymm registers
-// across the whole k sweep. With a __m256i acc[8] array GCC keeps the
-// accumulators on the stack, and because vpdpbusd both reads and writes its
-// accumulator operand every update round-trips through a store-forward —
-// measured slower than the maddubs kernel this is meant to beat. Eight
-// independent register chains also hide the instruction's multi-cycle
-// latency.
-void kernel_rows8(std::int64_t kc_groups, const std::uint8_t* a,
-                  std::int64_t lda, const std::int8_t* b_panel,
-                  std::int32_t* c, std::int64_t ldc, std::int64_t nr) {
-  __m256i c0 = _mm256_setzero_si256();
-  __m256i c1 = _mm256_setzero_si256();
-  __m256i c2 = _mm256_setzero_si256();
-  __m256i c3 = _mm256_setzero_si256();
-  __m256i c4 = _mm256_setzero_si256();
-  __m256i c5 = _mm256_setzero_si256();
-  __m256i c6 = _mm256_setzero_si256();
-  __m256i c7 = _mm256_setzero_si256();
-  for (std::int64_t g = 0; g < kc_groups; ++g) {
-    const __m256i bvec = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b_panel + g * kNR8 * kKU8));
-    const std::uint8_t* ag = a + g * kKU8;
-    c0 = _mm256_dpbusd_avx_epi32(c0, bcast_quad(ag), bvec);
-    c1 = _mm256_dpbusd_avx_epi32(c1, bcast_quad(ag + lda), bvec);
-    c2 = _mm256_dpbusd_avx_epi32(c2, bcast_quad(ag + 2 * lda), bvec);
-    c3 = _mm256_dpbusd_avx_epi32(c3, bcast_quad(ag + 3 * lda), bvec);
-    c4 = _mm256_dpbusd_avx_epi32(c4, bcast_quad(ag + 4 * lda), bvec);
-    c5 = _mm256_dpbusd_avx_epi32(c5, bcast_quad(ag + 5 * lda), bvec);
-    c6 = _mm256_dpbusd_avx_epi32(c6, bcast_quad(ag + 6 * lda), bvec);
-    c7 = _mm256_dpbusd_avx_epi32(c7, bcast_quad(ag + 7 * lda), bvec);
-  }
-  const __m256i acc[kMR8] = {c0, c1, c2, c3, c4, c5, c6, c7};
-  store_rows(acc, c, ldc, kMR8, nr);
-}
-
-void kernel_s8_avxvnni_8x8(std::int64_t kc_groups, const std::uint8_t* a,
-                           std::int64_t lda, const std::int8_t* b_panel,
-                           std::int32_t* c, std::int64_t ldc, std::int64_t mr,
-                           std::int64_t nr) {
-  if (mr == kMR8) {
-    kernel_rows8(kc_groups, a, lda, b_panel, c, ldc, nr);
-    return;
-  }
-  // Ragged M tail (at most once per GEMM): the generic array form is fine.
-  __m256i acc[kMR8];
-  for (std::int64_t r = 0; r < mr; ++r) acc[r] = _mm256_setzero_si256();
-  for (std::int64_t g = 0; g < kc_groups; ++g) {
-    const __m256i bvec = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b_panel + g * kNR8 * kKU8));
-    for (std::int64_t r = 0; r < mr; ++r) {
-      acc[r] = _mm256_dpbusd_avx_epi32(acc[r],
-                                       bcast_quad(a + r * lda + g * kKU8),
-                                       bvec);
-    }
-  }
-  store_rows(acc, c, ldc, mr, nr);
-}
+};
 
 }  // namespace
 
-Int8MicroKernelFn avxvnni_s8_microkernel() { return &kernel_s8_avxvnni_8x8; }
+Int8MicroKernelFn avxvnni_s8_microkernel() {
+  return &kernel_s8_8x8<DpbusdVex>;
+}
 
 }  // namespace saga::gemm::detail
 

@@ -27,9 +27,6 @@ using MicroKernelFn = void (*)(std::int64_t kc, const float* a_panel,
                                std::int64_t ldc, std::int64_t mr,
                                std::int64_t nr);
 
-/// Portable packed-panel kernel (Kernel::kScalarBlocked); always available.
-MicroKernelFn scalar_microkernel();
-
 /// AVX2+FMA kernel, or nullptr when this translation unit was built without
 /// AVX2 support (the driver must also check CPUID before calling it).
 MicroKernelFn avx2_microkernel();

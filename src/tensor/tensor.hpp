@@ -15,7 +15,7 @@
 // non-contiguous views are materialized with contiguous() at op entry.
 //
 // This is the substrate replacing PyTorch in the paper's implementation
-// (DESIGN.md §2, row 1).
+// (see the paper concept → module map in docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>

@@ -29,7 +29,7 @@ struct FinetuneConfig {
   /// Backbone parameters use learning_rate * backbone_lr_scale. 1.0 matches
   /// the paper's single-rate Adam; smaller values protect pre-trained
   /// features when the fine-tuning budget is only tens of steps (the
-  /// fast profile uses this — see EXPERIMENTS.md).
+  /// fast profile uses 0.3 — see core::fast_profile).
   double backbone_lr_scale = 1.0;
   std::uint64_t seed = 11;
 };

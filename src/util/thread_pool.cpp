@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace saga::util {
@@ -59,10 +58,14 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     return;
   }
 
-  std::atomic<std::size_t> remaining{chunks};
+  // All of this lives on the caller's stack. The last worker therefore
+  // decrements `remaining` and notifies while holding done_mutex: the caller
+  // cannot observe zero — and return, ending these objects' lifetimes —
+  // until that worker has released the mutex and touches nothing here again.
   std::exception_ptr first_error;
   std::mutex error_mutex;
   std::mutex done_mutex;
+  std::size_t remaining = chunks;  // guarded by done_mutex
   std::condition_variable done_cv;
 
   const std::size_t chunk_size = (total + chunks - 1) / chunks;
@@ -78,17 +81,15 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
           std::lock_guard<std::mutex> elock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        std::lock_guard<std::mutex> dlock(done_mutex);
+        if (--remaining == 0) done_cv.notify_all();
       });
     }
   }
   cv_.notify_all();
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

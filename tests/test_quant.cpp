@@ -24,6 +24,7 @@
 #include "tensor/grad_mode.hpp"
 #include "tensor/tensor.hpp"
 #include "train/finetune.hpp"
+#include "util/dispatch.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -333,27 +334,28 @@ TEST(GemmS8, EightBitActivationsMatchNaiveReferenceOnCapableKernels) {
 TEST(GemmS8, VnniKernelsSkipCleanlyWithoutCpuSupport) {
   // On hosts without the VNNI CPUID bits the forced-kernel tests above
   // iterate available_int8_kernels() and simply never see the VNNI entries;
-  // this test makes the skip visible in logs and pins the availability
-  // probes to the CPUID bits they gate on.
-  if (!gemm::cpu_supports_int8_avxvnni()) {
-    std::cout << "[  SKIPPED ] avx-vnni kernel unavailable (CPUID AVX-VNNI="
-              << gemm::cpu_supports_avx2_vnni() << "); scalar/AVX2 coverage "
-              << "only on this host\n";
-    EXPECT_THROW(gemm::ForceInt8KernelGuard g(gemm::Int8Kernel::kAvxVnni),
-                 std::runtime_error);
-  }
-  if (!gemm::cpu_supports_int8_avx512vnni()) {
-    std::cout << "[  SKIPPED ] avx512-vnni kernel unavailable (CPUID "
-              << "AVX512-VNNI=" << gemm::cpu_supports_avx512_vnni() << ")\n";
-    EXPECT_THROW(gemm::ForceInt8KernelGuard g(gemm::Int8Kernel::kAvx512Vnni),
-                 std::runtime_error);
-  }
-  // Availability implies the CPUID bit (the converse needs build support).
-  if (gemm::cpu_supports_int8_avxvnni()) {
-    EXPECT_TRUE(gemm::cpu_supports_avx2_vnni());
-  }
-  if (gemm::cpu_supports_int8_avx512vnni()) {
-    EXPECT_TRUE(gemm::cpu_supports_avx512_vnni());
+  // this test makes the skip visible in logs and pins availability to the
+  // CPUID bits it gates on.
+  const auto kernels = gemm::available_int8_kernels();
+  const auto available = [&](gemm::Int8Kernel kernel) {
+    return std::find(kernels.begin(), kernels.end(), kernel) != kernels.end();
+  };
+  const struct {
+    gemm::Int8Kernel kernel;
+    util::CpuFeature cpuid_bit;
+  } vnni[] = {{gemm::Int8Kernel::kAvxVnni, util::CpuFeature::kAvxVnni},
+              {gemm::Int8Kernel::kAvx512Vnni, util::CpuFeature::kAvx512Vnni}};
+  for (const auto& [kernel, cpuid_bit] : vnni) {
+    if (available(kernel)) {
+      // Availability implies the CPUID bit (the converse needs build
+      // support, and no SAGA_FORCE_SCALAR pin).
+      EXPECT_TRUE(util::cpu_has(cpuid_bit)) << gemm::int8_kernel_name(kernel);
+      continue;
+    }
+    std::cout << "[  SKIPPED ] " << gemm::int8_kernel_name(kernel)
+              << " kernel unavailable (CPUID bit "
+              << util::cpu_has(cpuid_bit) << ")\n";
+    EXPECT_THROW(gemm::ForceInt8KernelGuard g(kernel), std::runtime_error);
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <array>
+#include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <thread>
@@ -100,6 +102,56 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     parallel_for(0, 8, [&](std::size_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 64);
+}
+
+// A few microseconds of arithmetic the optimizer cannot drop.
+void spin() {
+  volatile double x = 1.0;
+  for (int r = 0; r < 400; ++r) x = x * 1.000001 + 0.5;
+}
+
+// Overwrites the stack that a just-returned parallel_for frame occupied, so
+// a worker still touching that frame's completion mutex or condition
+// variable finds garbage there (and fails loudly) instead of a fresh frame
+// that happens to hold valid objects at the same address.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char junk[1024];
+  for (auto& byte : junk) byte = 0xA5;
+}
+
+// Non-pool threads sharing the global pool at once — the Router pattern,
+// where every shard's dispatcher runs its forward through the one pool.
+// Each call must run every index exactly once, and no worker may touch a
+// caller's completion state after that caller has returned. Each caller
+// also works between calls, like a dispatcher between forwards, so pool
+// workers go idle and are woken again for the next call.
+TEST(ThreadPool, ConcurrentCallersRunEveryIndexOnce) {
+  constexpr int kCallers = 4;
+  constexpr int kCallsPerCaller = 20000;
+  constexpr std::size_t kIndices = 4;
+  std::atomic<int> bad_calls{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < kCallsPerCaller; ++call) {
+        std::array<std::atomic<int>, kIndices> hits{};
+        ThreadPool::global().parallel_for(0, kIndices, [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          spin();
+        });
+        for (const auto& h : hits) {
+          if (h.load() != 1) {
+            bad_calls.fetch_add(1);
+            break;
+          }
+        }
+        scribble_stack();
+        spin();
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(bad_calls.load(), 0);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
