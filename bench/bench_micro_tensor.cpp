@@ -226,6 +226,9 @@ BENCHMARK(BM_GruClassifierForward)->Unit(benchmark::kMillisecond);
 // rows (timesteps) against 72-to-192-wide weight panels. These rows put the
 // int8 kernels and the fp32 matmul side by side at exactly those shapes so
 // BASELINES.md can quote per-kernel speedups instead of square-matrix proxies.
+// They time wall clock (UseRealTime): the products split across the thread
+// pool, and the calling thread's CPU time would leave the workers' share out
+// of items_per_second.
 
 struct ServeShape {
   std::int64_t m, k, n;
@@ -259,7 +262,7 @@ void BM_MatmulServeShape(benchmark::State& state) {
   state.SetLabel(std::string(s.what) + " fp32 " + std::to_string(s.m) + "x" +
                  std::to_string(s.k) + "x" + std::to_string(s.n));
 }
-BENCHMARK(BM_MatmulServeShape)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_MatmulServeShape)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->UseRealTime();
 
 // Registered at runtime, one row per (shape, available int8 kernel), so the
 // kernel name lands in the benchmark name and hosts without VNNI simply emit
@@ -297,7 +300,8 @@ void register_gemm_s8_serve_rows() {
       benchmark::RegisterBenchmark(
           name.c_str(), [&s, kernel](benchmark::State& state) {
             run_gemm_s8_shape(state, s, kernel);
-          });
+          })
+          ->UseRealTime();
     }
     for (const ServeShape& s : kProbeShapes) {
       const std::string name = "BM_GemmS8Probe/" + std::to_string(s.m) + "x" +
@@ -306,7 +310,8 @@ void register_gemm_s8_serve_rows() {
       benchmark::RegisterBenchmark(
           name.c_str(), [&s, kernel](benchmark::State& state) {
             run_gemm_s8_shape(state, s, kernel);
-          });
+          })
+          ->UseRealTime();
     }
   }
 }

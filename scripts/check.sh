@@ -17,12 +17,14 @@
 #                                 suite under TSan is too slow)
 #   ./scripts/check.sh --asan     AddressSanitizer build into <repo>/build-asan,
 #                                 running the tensor-stack + serve + stream +
-#                                 quant + util suites — the eltwise/gemm/
-#                                 gemm_s8 kernel edge tiles, the pool's
-#                                 completion state on the caller's stack,
-#                                 the NoGrad tape-skip lifetimes, the backward
-#                                 closures over saved buffers, and the ring's
-#                                 wraparound indexing are where
+#                                 preprocess + quant + util suites — the
+#                                 eltwise/gemm/gemm_s8 kernel edge tiles, the
+#                                 pool's completion state on the caller's
+#                                 stack, the NoGrad tape-skip lifetimes, the
+#                                 backward closures over saved buffers, the
+#                                 ring's wraparound indexing and the
+#                                 block-average kernel's pointer arithmetic
+#                                 over a caller's span are where
 #                                 use-after-free/overflow bugs would hide
 set -euo pipefail
 
@@ -30,7 +32,7 @@ cd "$(dirname "$0")/.."
 
 ASAN_TARGETS=(test_eltwise test_tensor_ops test_reduce_loss test_shape_ops
   test_matmul test_attention test_nn test_serve test_views test_gru_cell
-  test_stream test_quant test_util test_gemm_kernels)
+  test_stream test_preprocess test_quant test_util test_gemm_kernels)
 TSAN_TARGETS=(test_serve test_views test_gru_cell test_stream test_quant
   test_eltwise test_util test_gemm_kernels)
 

@@ -1,10 +1,71 @@
 #include "data/preprocess.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 namespace saga::data {
+
+namespace {
+
+// Accelerometer axes scaled by preprocess_window (acc xyz lead every layout).
+constexpr std::int64_t kAccAxes = 3;
+
+// The one block-average body behind downsample() and preprocess_window().
+// Output row t, channel c is float(sum over k < factor of
+// in[(t * factor + k) * channels + c] / double(factor)), the sum a double
+// accumulated from 0.0 in k order; the row's first `acc_axes` values are
+// then multiplied by `acc_scale` (float arithmetic, as
+// normalize_accelerometer does it in place). Channels go in pairs with
+// independent accumulators, so a row has several dependency chains in
+// flight while each channel keeps its own summation order; an odd count
+// ends in a scalar tail. Factor 1 copies instead: accumulating would turn
+// -0.0 into 0.0 + -0.0 = +0.0.
+void block_average(const float* in, std::int64_t out_length,
+                   std::int64_t channels, std::int64_t factor,
+                   std::int64_t acc_axes, float acc_scale, float* out) {
+  const auto divisor = static_cast<double>(factor);
+  for (std::int64_t t = 0; t < out_length;
+       ++t, in += factor * channels, out += channels) {
+    if (factor == 1) {
+      std::copy(in, in + channels, out);
+    } else {
+      std::int64_t c = 0;
+      for (; c + 1 < channels; c += 2) {
+        double acc0 = 0.0;
+        double acc1 = 0.0;
+        const float* p = in + c;
+        for (std::int64_t k = 0; k < factor; ++k, p += channels) {
+          acc0 += p[0];
+          acc1 += p[1];
+        }
+        out[c] = static_cast<float>(acc0 / divisor);
+        out[c + 1] = static_cast<float>(acc1 / divisor);
+      }
+      if (c < channels) {
+        double acc = 0.0;
+        const float* p = in + c;
+        for (std::int64_t k = 0; k < factor; ++k, p += channels) acc += *p;
+        out[c] = static_cast<float>(acc / divisor);
+      }
+    }
+    for (std::int64_t a = 0; a < acc_axes; ++a) out[a] *= acc_scale;
+  }
+}
+
+// normalize_accelerometer's argument checks; returns float(1 / g), the
+// factor each accelerometer value is multiplied by.
+float accelerometer_scale(double g, std::int64_t acc_axes,
+                          std::int64_t channels) {
+  if (g <= 0.0) throw std::invalid_argument("normalize_accelerometer: g > 0");
+  if (acc_axes > channels) {
+    throw std::invalid_argument("normalize_accelerometer: acc_axes > channels");
+  }
+  return static_cast<float>(1.0 / g);
+}
+
+}  // namespace
 
 Recording downsample(const Recording& recording, double target_hz) {
   if (target_hz <= 0.0 || recording.sample_rate_hz <= 0.0) {
@@ -17,34 +78,19 @@ Recording downsample(const Recording& recording, double target_hz) {
       std::llround(recording.sample_rate_hz / target_hz));
   if (factor <= 1) return recording;  // already at or below target
 
-  const std::int64_t in_length = recording.length();
-  const std::int64_t out_length = in_length / factor;
+  const std::int64_t out_length = recording.length() / factor;
   Recording out;
   out.channels = recording.channels;
   out.sample_rate_hz = recording.sample_rate_hz / static_cast<double>(factor);
   out.values.resize(static_cast<std::size_t>(out_length * out.channels));
-
-  for (std::int64_t t = 0; t < out_length; ++t) {
-    for (std::int64_t c = 0; c < out.channels; ++c) {
-      double acc = 0.0;
-      for (std::int64_t k = 0; k < factor; ++k) {
-        acc += recording.values[static_cast<std::size_t>(
-            (t * factor + k) * recording.channels + c)];
-      }
-      out.values[static_cast<std::size_t>(t * out.channels + c)] =
-          static_cast<float>(acc / static_cast<double>(factor));
-    }
-  }
+  block_average(recording.values.data(), out_length, out.channels, factor,
+                /*acc_axes=*/0, 1.0F, out.values.data());
   return out;
 }
 
 void normalize_accelerometer(Recording& recording, double g,
                              std::int64_t acc_axes) {
-  if (g <= 0.0) throw std::invalid_argument("normalize_accelerometer: g > 0");
-  if (acc_axes > recording.channels) {
-    throw std::invalid_argument("normalize_accelerometer: acc_axes > channels");
-  }
-  const auto inv_g = static_cast<float>(1.0 / g);
+  const float inv_g = accelerometer_scale(g, acc_axes, recording.channels);
   const std::int64_t length = recording.length();
   for (std::int64_t t = 0; t < length; ++t) {
     float* row = recording.values.data() + t * recording.channels;
@@ -123,17 +169,17 @@ std::vector<float> preprocess_window(std::span<const float> raw,
         " is not a multiple of the decimation factor " +
         std::to_string(factor));
   }
-  // Delegates to the exact batch-path functions (downsample's per-block
-  // double accumulator, normalize_*'s in-place scaling), so stream windows
-  // are bit-identical to offline-ingested ones by construction.
+  const float inv_g = accelerometer_scale(g, kAccAxes, channels);
+  // Straight from the caller's span into the result: the same block-average
+  // body as downsample() with the accelerometer scaling folded in, so stream
+  // windows are bit-identical to offline-ingested ones by construction.
   Recording window;
   window.channels = channels;
-  window.sample_rate_hz = sample_rate_hz;
-  window.values.assign(raw.begin(), raw.end());
-  Recording resampled = downsample(window, target_hz);
-  normalize_accelerometer(resampled, g);
-  if (resampled.channels >= 9) normalize_magnetometer(resampled, 6);
-  return std::move(resampled.values);
+  window.values.resize(raw.size() / static_cast<std::size_t>(factor));
+  block_average(raw.data(), raw_length / factor, channels, factor, kAccAxes,
+                inv_g, window.values.data());
+  if (channels >= 9) normalize_magnetometer(window, 6);
+  return std::move(window.values);
 }
 
 std::int64_t ingest_recording(Dataset& dataset, Recording recording,

@@ -74,6 +74,9 @@ std::int64_t decimation_factor(double sample_rate_hz, double target_hz);
 /// block, running this on factor-aligned slices of a recording is
 /// bit-identical to downsampling the whole recording first and slicing
 /// after — which is why the batch and stream ingestion paths can share it.
+/// `raw` is read in place, with no intermediate copy: downsample()'s
+/// block-average body writes the result directly, the accelerometer scaling
+/// folded into the same pass.
 std::vector<float> preprocess_window(std::span<const float> raw,
                                      std::int64_t channels,
                                      double sample_rate_hz, double target_hz,

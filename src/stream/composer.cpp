@@ -61,7 +61,10 @@ std::int32_t Composer::gate(std::int32_t label,
     }
   }
   const double margin = (top1 - top2) / sum;
-  return margin < config_.min_margin ? kUnknownLabel : label;
+  // Negated so that a NaN margin (a NaN or +Inf logit poisons the softmax)
+  // gates to unknown instead of passing as a confident label. A -Inf logit
+  // is a valid zero probability and leaves the margin finite.
+  return !(margin >= config_.min_margin) ? kUnknownLabel : label;
 }
 
 void Composer::compose(const Event& primitive, std::vector<Event>& out) {

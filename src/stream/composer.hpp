@@ -6,7 +6,8 @@
 //
 // Three stages, in order, all deterministic:
 //   1. open-set gating   a window whose softmax margin (top-1 minus top-2
-//                        probability) is below `min_margin` becomes
+//                        probability) is below `min_margin`, or undefined
+//                        because a logit is NaN or +Inf, becomes
 //                        kUnknownLabel — an untrained motion must not be
 //                        force-mapped onto the nearest known class.
 //   2. hysteresis        a new label must win `hysteresis` consecutive
@@ -95,7 +96,8 @@ class Composer {
   const ComposerConfig& config() const noexcept { return config_; }
 
   /// The gating stage alone: `label` unless the softmax margin of `logits`
-  /// is below min_margin, else kUnknownLabel. Exposed for tests.
+  /// is below min_margin or undefined (a NaN or +Inf logit), else
+  /// kUnknownLabel. Exposed for tests.
   std::int32_t gate(std::int32_t label, std::span<const float> logits) const;
 
  private:

@@ -1,6 +1,7 @@
 #include "stream/session.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -64,7 +65,6 @@ bool Session::push(const Sample& sample) noexcept {
   }
   last_push_ts_ = sample.ts_us;
   have_push_ts_ = true;
-  samples_accepted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -93,11 +93,12 @@ std::vector<SealedWindow> Session::poll() {
       window.seq = next_seq_++;
       window.start_ts_us = ring_.peek(0).ts_us;
       window.end_ts_us = prev_ts_;
-      window.raw.reserve(
+      window.raw.resize(
           static_cast<std::size_t>(raw_window_ * kStreamChannels));
-      for (std::size_t i = 0; i < static_cast<std::size_t>(raw_window_); ++i) {
-        const Sample& s = ring_.peek(i);
-        window.raw.insert(window.raw.end(), s.v.begin(), s.v.end());
+      float* out = window.raw.data();
+      for (std::size_t i = 0; i < static_cast<std::size_t>(raw_window_);
+           ++i, out += kStreamChannels) {
+        std::memcpy(out, ring_.peek(i).v.data(), sizeof(Sample::v));
       }
       sealed.push_back(std::move(window));
       windows_sealed_.fetch_add(1, std::memory_order_relaxed);
@@ -113,7 +114,7 @@ std::vector<SealedWindow> Session::poll() {
 
 SessionStats Session::stats() const noexcept {
   SessionStats stats;
-  stats.samples_accepted = samples_accepted_.load(std::memory_order_relaxed);
+  stats.samples_accepted = ring_.pushed();
   stats.samples_dropped = samples_dropped_.load(std::memory_order_relaxed);
   stats.out_of_order = out_of_order_.load(std::memory_order_relaxed);
   stats.gaps = gaps_.load(std::memory_order_relaxed);

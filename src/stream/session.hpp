@@ -27,7 +27,8 @@
 //                            window never silently spans a sensor outage.
 //
 // Threading: push() from exactly one producer thread, poll() from exactly
-// one consumer thread, stats() from anywhere (atomic counters).
+// one consumer thread, stats() from anywhere (atomic counters and the ring's
+// head index).
 #pragma once
 
 #include <array>
@@ -82,7 +83,7 @@ struct SealedWindow {
 
 /// Monotonic per-session counters; readable from any thread.
 struct SessionStats {
-  std::uint64_t samples_accepted = 0;
+  std::uint64_t samples_accepted = 0;  ///< enqueued by push (ring head index)
   std::uint64_t samples_dropped = 0;  ///< ring full at push
   std::uint64_t out_of_order = 0;     ///< non-monotonic ts rejected at push
   std::uint64_t gaps = 0;             ///< ts gaps that reset window assembly
@@ -143,8 +144,8 @@ class Session {
   bool have_prev_ts_ = false;
   std::uint64_t next_seq_ = 0;
 
-  // Cross-thread counters.
-  std::atomic<std::uint64_t> samples_accepted_{0};
+  // Cross-thread counters. samples_accepted is the ring's head index
+  // (SpscRing::pushed), so an accepted push pays no counter update.
   std::atomic<std::uint64_t> samples_dropped_{0};
   std::atomic<std::uint64_t> out_of_order_{0};
   std::atomic<std::uint64_t> gaps_{0};

@@ -58,6 +58,13 @@ class SpscRing {
     return true;
   }
 
+  /// Any thread: values accepted since construction. This is the head
+  /// index, which each successful push() advances by exactly one and
+  /// nothing else moves, so the count costs the producer nothing.
+  std::uint64_t pushed() const noexcept {
+    return head_.load(std::memory_order_acquire);
+  }
+
   /// Consumer side: number of samples available to peek right now.
   std::size_t size() const noexcept {
     return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -

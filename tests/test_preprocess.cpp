@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <random>
+#include <string>
 
 #include "data/preprocess.hpp"
 
@@ -221,6 +226,157 @@ TEST(PreprocessWindow, SlicedWindowsAreBitIdenticalToWholeRecording) {
     }
   }
   EXPECT_GE(produced, 4);  // the loop actually exercised overlapping windows
+}
+
+// ---- test-side oracle ----------------------------------------------------
+
+// The per-window arithmetic, spelled out the slow way: copy the window; block
+// average it value by value with one double accumulator starting at 0.0 and
+// summing k = 0 .. factor-1, divided by double(factor) (never multiplied by
+// a reciprocal) and rounded to float; multiply the acc axes by float(1/g);
+// then normalize_magnetometer for 9+ channels. Factor 1 passes the copy
+// through unaveraged. preprocess_window and downsample share one optimized
+// block-average body, so they are pinned against this instead of each other.
+std::vector<float> reference_preprocess(std::span<const float> raw,
+                                        std::int64_t channels,
+                                        std::int64_t factor, double g) {
+  const std::vector<float> copy(raw.begin(), raw.end());
+  const auto raw_length = static_cast<std::int64_t>(copy.size()) / channels;
+  std::vector<float> out = copy;
+  if (factor > 1) {
+    const std::int64_t out_length = raw_length / factor;
+    out.assign(static_cast<std::size_t>(out_length * channels), 0.0F);
+    for (std::int64_t t = 0; t < out_length; ++t) {
+      for (std::int64_t c = 0; c < channels; ++c) {
+        double acc = 0.0;
+        for (std::int64_t k = 0; k < factor; ++k) {
+          acc += copy[static_cast<std::size_t>((t * factor + k) * channels + c)];
+        }
+        out[static_cast<std::size_t>(t * channels + c)] =
+            static_cast<float>(acc / static_cast<double>(factor));
+      }
+    }
+  }
+  const auto inv_g = static_cast<float>(1.0 / g);
+  for (std::size_t row = 0; row < out.size();
+       row += static_cast<std::size_t>(channels)) {
+    for (std::size_t a = 0; a < 3; ++a) out[row + a] *= inv_g;
+  }
+  if (channels >= 9) {
+    Recording r;
+    r.channels = channels;
+    r.values = std::move(out);
+    normalize_magnetometer(r, 6);
+    out = std::move(r.values);
+  }
+  return out;
+}
+
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    // Bit patterns, not ==: NaN must stay NaN and -0.0 must stay -0.0.
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << ", value " << i << ": got " << got[i] << ", want "
+        << want[i];
+  }
+}
+
+/// Random raw values mixing ordinary readings, +-1e6 magnitudes, -0.0 and
+/// NaN. The first block is all -0.0, so factor > 1 has to produce
+/// 0.0 + -0.0 = +0.0 there and factor 1 has to keep the sign bit. For
+/// factors 5 and 10 the second block sums to a double whose quotient by the
+/// factor rounds to another float than its product with 0.2 (0.1) does, so
+/// multiplying by a reciprocal cannot pass either.
+std::vector<float> hostile_values(std::int64_t samples, std::int64_t channels,
+                                  std::int64_t factor, std::uint32_t seed) {
+  std::mt19937 gen(seed);
+  std::uniform_real_distribution<float> unit(-1.0F, 1.0F);
+  std::uniform_int_distribution<int> kind(0, 19);
+  std::vector<float> values(static_cast<std::size_t>(samples * channels));
+  for (float& v : values) {
+    switch (kind(gen)) {
+      case 0: v = 1e6F * unit(gen); break;
+      case 1: v = -0.0F; break;
+      case 2: v = std::numeric_limits<float>::quiet_NaN(); break;
+      default: v = 12.0F * unit(gen); break;
+    }
+  }
+  for (std::size_t i = 0; i < static_cast<std::size_t>(factor * channels); ++i) {
+    values[i] = -0.0F;
+  }
+  if (factor == 5 || factor == 10) {
+    const float twice = factor == 10 ? 2.0F : 1.0F;
+    const float addends[] = {0x1.800004p+2F * twice, 0x1.8p-23F * twice,
+                             -0x1p-50F * twice};
+    for (std::int64_t k = 0; k < factor; ++k) {
+      for (std::int64_t c = 0; c < channels; ++c) {
+        values[static_cast<std::size_t>((factor + k) * channels + c)] =
+            k < 3 ? addends[k] : 0.0F;
+      }
+    }
+  }
+  return values;
+}
+
+TEST(PreprocessWindow, BitIdenticalToReferenceArithmetic) {
+  // 3 and 7 channels end in the odd-channel tail, 9 adds the magnetometer.
+  for (const std::int64_t channels : {3, 6, 7, 9}) {
+    for (const std::int64_t factor : {1, 2, 5, 10}) {
+      for (const double g : {1.0, 9.80665}) {
+        const double rate = 20.0 * static_cast<double>(factor);
+        const std::int64_t samples = 12 * factor;
+        const std::vector<float> raw = hostile_values(
+            samples, channels, factor,
+            static_cast<std::uint32_t>(channels * 100 + factor));
+        const std::string what = "channels " + std::to_string(channels) +
+                                 ", factor " + std::to_string(factor) +
+                                 ", g " + std::to_string(g);
+        const std::vector<float> want =
+            reference_preprocess(raw, channels, factor, g);
+        expect_same_bits(preprocess_window(raw, channels, rate, 20.0, g), want,
+                         "preprocess_window, " + what);
+
+        // The batch path: downsample the whole recording, then normalize.
+        Recording batch;
+        batch.channels = channels;
+        batch.sample_rate_hz = rate;
+        batch.values = raw;
+        batch = downsample(batch, 20.0);
+        normalize_accelerometer(batch, g);
+        if (channels >= 9) normalize_magnetometer(batch, 6);
+        expect_same_bits(batch.values, want, "downsample, " + what);
+      }
+    }
+  }
+}
+
+TEST(PreprocessWindow, FactorOneKeepsNegativeZero) {
+  const std::vector<float> raw(6 * 4, -0.0F);
+  for (const float v : preprocess_window(raw, 6, 20.0, 20.0)) {
+    EXPECT_TRUE(std::signbit(v));
+  }
+  // The same block averaged (factor 2) is 0.0 + -0.0 = +0.0.
+  for (const float v : preprocess_window(raw, 6, 40.0, 20.0)) {
+    EXPECT_FALSE(std::signbit(v));
+  }
+}
+
+TEST(PreprocessWindow, AccelerometerErrorsKeepTheirMessages) {
+  const std::vector<float> raw(2 * 10, 1.0F);
+  const auto message = [&](std::int64_t channels, double g) {
+    try {
+      (void)preprocess_window(raw, channels, 100.0, 20.0, g);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message(2, 9.80665), "normalize_accelerometer: acc_axes > channels");
+  EXPECT_EQ(message(4, 0.0), "normalize_accelerometer: g > 0");
+  EXPECT_EQ(message(2, -1.0), "normalize_accelerometer: g > 0");  // g first
 }
 
 TEST(IngestRecording, RejectsChannelMismatch) {

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -234,6 +235,65 @@ TEST(Session, FullRingDropsNewestAndCounts) {
   EXPECT_EQ(session.buffered(), 24U);
 }
 
+TEST(Session, AcceptedCountIsExactUnderConcurrentStatsReads) {
+  // samples_accepted is the ring's head index, not a counter of its own:
+  // read from another thread while the producer runs into accepted,
+  // ring-full and out-of-order pushes, it must stay monotonic and end equal
+  // to the pushes that returned true (run under TSan by scripts/check.sh).
+  SessionConfig config = small_config();
+  config.ring_capacity = 64;
+  Session session("u1", config);
+  constexpr std::int64_t kPushes = 20000;
+  std::atomic<bool> draining{false};
+  std::atomic<bool> done{false};
+  std::uint64_t accepted = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t out_of_order = 0;
+
+  std::thread producer([&] {
+    std::int64_t index = 0;
+    for (std::int64_t i = 0; i < kPushes; ++i) {
+      // Every 7th sample repeats timestamp 0, which the first push took.
+      const bool backwards = i % 7 == 3;
+      const Sample sample = backwards ? make_sample(0) : make_sample(index++);
+      if (session.push(sample)) {
+        ++accepted;
+      } else if (backwards) {
+        ++out_of_order;
+      } else {
+        ++dropped;
+      }
+      // The first 200 pushes overrun the idle ring: drops are certain.
+      if (i == 200) draining.store(true, std::memory_order_release);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  // The consumer: reads stats() in a loop and, once the ring has overrun,
+  // also drains it so that later pushes are accepted again.
+  SessionStats last{};
+  bool monotonic = true;
+  while (!done.load(std::memory_order_acquire)) {
+    const SessionStats now = session.stats();
+    monotonic = monotonic && now.samples_accepted >= last.samples_accepted &&
+                now.samples_dropped >= last.samples_dropped &&
+                now.out_of_order >= last.out_of_order;
+    last = now;
+    if (draining.load(std::memory_order_acquire)) (void)session.poll();
+  }
+  producer.join();
+
+  const SessionStats stats = session.stats();
+  EXPECT_TRUE(monotonic);
+  EXPECT_EQ(stats.samples_accepted, accepted);
+  EXPECT_EQ(stats.samples_dropped, dropped);
+  EXPECT_EQ(stats.out_of_order, out_of_order);
+  EXPECT_EQ(accepted + dropped + out_of_order,
+            static_cast<std::uint64_t>(kPushes));
+  EXPECT_GT(dropped, 0U);
+  EXPECT_GT(out_of_order, 0U);
+}
+
 TEST(Session, ValidatesConfig) {
   SessionConfig config = small_config();
   config.hop = 0;
@@ -309,6 +369,38 @@ TEST(Composer, GateMapsLowMarginToUnknown) {
   off.min_margin = 0.0;  // gating disabled
   const Composer ungated(off);
   EXPECT_EQ(ungated.gate(2, std::vector<float>{1.0F, 1.0F, 1.01F, 0.0F}), 2);
+}
+
+TEST(Composer, GateMapsNonFiniteLogitsToUnknown) {
+  ComposerConfig config;
+  config.min_margin = 0.2;
+  const Composer composer(config);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // A NaN anywhere, the winner's slot included, poisons the softmax.
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    std::vector<float> logits = confident(1);
+    logits[slot] = nan;
+    EXPECT_EQ(composer.gate(1, logits), kUnknownLabel) << "NaN in " << slot;
+  }
+  // +Inf makes the margin Inf - Inf = NaN, even on the winning class.
+  std::vector<float> plus_inf = confident(1);
+  plus_inf[1] = inf;
+  EXPECT_EQ(composer.gate(1, plus_inf), kUnknownLabel);
+  plus_inf = confident(1);
+  plus_inf[2] = inf;
+  EXPECT_EQ(composer.gate(1, plus_inf), kUnknownLabel);
+  // A lone -Inf logit is a valid zero probability: still confident.
+  std::vector<float> minus_inf = confident(1);
+  minus_inf[3] = -inf;
+  EXPECT_EQ(composer.gate(1, minus_inf), 1);
+
+  // Gating off passes every label through, as before.
+  ComposerConfig off;
+  off.min_margin = 0.0;
+  std::vector<float> poisoned = confident(1);
+  poisoned[0] = nan;
+  EXPECT_EQ(Composer(off).gate(1, poisoned), 1);
 }
 
 TEST(Composer, HysteresisSuppressesSingleWindowFlicker) {
