@@ -16,7 +16,6 @@
 #include "tensor/loss.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/reduce.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -62,25 +61,9 @@ void BM_FusedAttentionForward(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedAttentionForward)->Unit(benchmark::kMillisecond);
 
-// Ablation for the fused-attention design choice (see attention_fused.hpp):
-// the same layer run through the composed primitive-op path. The fused kernel
-// avoids materializing five T x T intermediates per head.
-void BM_ComposedAttentionForward(benchmark::State& state) {
-  util::Rng rng(3);
-  nn::MultiHeadSelfAttention attention(72, 4, 0.0, rng, 7);
-  attention.set_training(false);
-  Tensor x = Tensor::randn({32, 120, 72}, rng);
-  NoGradGuard no_grad;
-  for (auto _ : state) {
-    Tensor out = attention.forward_composed(x);
-    benchmark::DoNotOptimize(out.data().data());
-  }
-}
-BENCHMARK(BM_ComposedAttentionForward)->Unit(benchmark::kMillisecond);
-
 void BM_FusedAttentionLayerForward(benchmark::State& state) {
   util::Rng rng(3);
-  nn::MultiHeadSelfAttention attention(72, 4, 0.0, rng, 7);
+  nn::MultiHeadSelfAttention attention(72, 4, rng);
   attention.set_training(false);
   Tensor x = Tensor::randn({32, 120, 72}, rng);
   NoGradGuard no_grad;
@@ -95,8 +78,8 @@ BENCHMARK(BM_FusedAttentionLayerForward)->Unit(benchmark::kMillisecond);
 // Fused-vs-composed eltwise rows: per-primitive tracking of the eltwise
 // engine's win over the composed op chains it replaced, at the backbone's
 // hottest shapes (FFN activations [B*T, ff_dim] = [3840, 144], residual/LN
-// joins at hidden [3840, 72]). The composed variants are the pre-eltwise
-// code paths: broadcast add + separate gelu / layer_norm passes.
+// joins at hidden [3840, 72]). The composed variants are the broadcast add
+// and the separate gelu pass that src/ still offers as general ops.
 // ---------------------------------------------------------------------------
 
 void BM_BiasAddFused(benchmark::State& state) {
@@ -161,20 +144,6 @@ void BM_ResidualLayerNormFused(benchmark::State& state) {
 }
 BENCHMARK(BM_ResidualLayerNormFused);
 
-void BM_ResidualLayerNormComposed(benchmark::State& state) {
-  util::Rng rng(9);
-  Tensor x = Tensor::randn({3840, 72}, rng);
-  Tensor r = Tensor::randn({3840, 72}, rng);
-  Tensor gamma = Tensor::ones({72});
-  Tensor beta = Tensor::zeros({72});
-  NoGradGuard no_grad;
-  for (auto _ : state) {
-    Tensor y = layer_norm_lastdim(add(x, r), gamma, beta);
-    benchmark::DoNotOptimize(y.data().data());
-  }
-}
-BENCHMARK(BM_ResidualLayerNormComposed);
-
 void BM_BackboneForward(benchmark::State& state) {
   models::BackboneConfig config;  // paper size
   config.input_channels = 6;
@@ -220,6 +189,28 @@ void BM_GruClassifierForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GruClassifierForward)->Unit(benchmark::kMillisecond);
+
+// One fine-tuning step of the classifier alone: forward, cross-entropy and
+// backward over a batch of 32 detached backbone outputs.
+void BM_GruClassifierTrainStep(benchmark::State& state) {
+  models::ClassifierConfig config;  // input 72, hidden 64
+  models::GruClassifier classifier(config);
+  util::Rng rng(6);
+  Tensor h = Tensor::randn({32, 120, 72}, rng);
+  std::vector<std::int64_t> labels(32);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int64_t>(i) % config.num_classes;
+  }
+  for (auto _ : state) {
+    classifier.zero_grad();
+    Tensor loss = cross_entropy(classifier.forward(h), labels);
+    loss.backward();
+    benchmark::DoNotOptimize(loss.item());
+  }
+}
+BENCHMARK(BM_GruClassifierTrainStep)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();  // the gate GEMMs run on the pool
 
 // ---- int8 vs fp32 GEMM at the serve shapes --------------------------------
 // One window through the backbone/classifier is a run of skinny GEMMs: 120

@@ -68,6 +68,15 @@ fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 cd "$BUILD_DIR"
 ctest --output-on-failure -j "$(nproc)"
+# Micro-bench smoke: every Google Benchmark row runs once at a tiny budget,
+# so a row that throws or crashes fails here (the binaries are absent when
+# libbenchmark is not installed). A bare number is the --benchmark_min_time
+# form both libbenchmark 1.7 and 1.8 accept (1.8 reads it as seconds).
+for bench in ./bench_micro_*; do
+  [[ -x "$bench" ]] || continue
+  echo "micro-bench smoke: $bench"
+  "$bench" --benchmark_min_time=0.001 > /dev/null
+done
 # Serve-bench smoke: one tiny setting per sweep, exercising the open-loop
 # bursty arrivals, Router work stealing, and the histogram export end to
 # end (capacity numbers from this run mean nothing — see docs/BASELINES.md

@@ -231,12 +231,4 @@ const TrainedModels& Pipeline::trained() const {
   return *trained_;
 }
 
-train::Metrics reference_full_label_metrics(const data::Dataset& dataset,
-                                            data::Task task,
-                                            const PipelineConfig& config) {
-  Pipeline pipeline(dataset, task, config);
-  const RunResult reference = pipeline.run(Method::kLimu, 1.0);
-  return reference.test;
-}
-
 }  // namespace saga::core

@@ -157,10 +157,4 @@ class Pipeline {
   std::optional<TrainedModels> trained_;
 };
 
-/// Trains the reference model of the paper's "relative accuracy" metric:
-/// LIMU fine-tuned on ALL labelled training data. Returns its test metrics.
-train::Metrics reference_full_label_metrics(const data::Dataset& dataset,
-                                            data::Task task,
-                                            const PipelineConfig& config);
-
 }  // namespace saga::core

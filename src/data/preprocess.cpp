@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -11,6 +12,12 @@ namespace {
 
 // Accelerometer axes scaled by preprocess_window (acc xyz lead every layout).
 constexpr std::int64_t kAccAxes = 3;
+
+// False for zero, negatives, NaN and +Inf. Plain comparisons: the stream
+// front end checks its rates and g once per window.
+bool positive_finite(double x) {
+  return x > 0.0 && x < std::numeric_limits<double>::infinity();
+}
 
 // The one block-average body behind downsample() and preprocess_window().
 // Output row t, channel c is float(sum over k < factor of
@@ -58,7 +65,10 @@ void block_average(const float* in, std::int64_t out_length,
 // factor each accelerometer value is multiplied by.
 float accelerometer_scale(double g, std::int64_t acc_axes,
                           std::int64_t channels) {
-  if (g <= 0.0) throw std::invalid_argument("normalize_accelerometer: g > 0");
+  if (!positive_finite(g)) {
+    throw std::invalid_argument(
+        "normalize_accelerometer: g must be positive and finite");
+  }
   if (acc_axes > channels) {
     throw std::invalid_argument("normalize_accelerometer: acc_axes > channels");
   }
@@ -68,15 +78,12 @@ float accelerometer_scale(double g, std::int64_t acc_axes,
 }  // namespace
 
 Recording downsample(const Recording& recording, double target_hz) {
-  if (target_hz <= 0.0 || recording.sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("downsample: rates must be positive");
-  }
   if (recording.channels <= 0) {
     throw std::invalid_argument("downsample: channels must be positive");
   }
-  const auto factor = static_cast<std::int64_t>(
-      std::llround(recording.sample_rate_hz / target_hz));
-  if (factor <= 1) return recording;  // already at or below target
+  const std::int64_t factor =
+      decimation_factor(recording.sample_rate_hz, target_hz);
+  if (factor == 1) return recording;  // already at or below target
 
   const std::int64_t out_length = recording.length() / factor;
   Recording out;
@@ -141,8 +148,9 @@ std::vector<IMUWindow> slice_windows(const Recording& recording,
 }
 
 std::int64_t decimation_factor(double sample_rate_hz, double target_hz) {
-  if (target_hz <= 0.0 || sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("decimation_factor: rates must be positive");
+  if (!positive_finite(target_hz) || !positive_finite(sample_rate_hz)) {
+    throw std::invalid_argument(
+        "decimation_factor: rates must be positive and finite");
   }
   const auto factor =
       static_cast<std::int64_t>(std::llround(sample_rate_hz / target_hz));

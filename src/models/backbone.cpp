@@ -49,7 +49,7 @@ Tensor LimuBertBackbone::encode(const Tensor& x) {
   }
   Tensor h = input_proj_->forward(x);                       // [B, T, H]
   const Tensor pos = slice(positional_, 0, 0, seq_len);     // [T, H]
-  h = eltwise::scale_add(h, pos);                           // tiled over B
+  h = eltwise::bias_add(h, pos);                            // tiled over B
   h = input_dropout_->forward(input_norm_->forward(h));
   for (auto& block : blocks_) h = block->forward(h);
   return h;

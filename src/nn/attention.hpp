@@ -3,40 +3,32 @@
 
 #include <memory>
 
-#include "nn/layers.hpp"
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
 
 namespace saga::nn {
 
 /// Scaled dot-product multi-head self-attention over [B, T, D] sequences.
-/// D must be divisible by num_heads. Two execution paths produce identical
-/// math: the fused kernel (default; single pass, minimal intermediates) and
-/// a composed path built from primitive ops, kept for differential testing.
+/// D must be divisible by num_heads. The q/k/v projections feed the fused
+/// kernel (tensor/attention_fused.hpp), which applies no dropout to the
+/// attention probabilities; the slice-per-head composed reference it is
+/// tested against lives in tests/reference.hpp.
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(std::int64_t dim, std::int64_t num_heads,
-                         double dropout_p, util::Rng& rng, std::uint64_t seed);
+                         util::Rng& rng);
 
   Tensor forward(const Tensor& x);
 
-  /// Slice-per-head reference implementation (slower, same result up to
-  /// attention-probability dropout, which only the composed path applies).
-  Tensor forward_composed(const Tensor& x);
-
-  void set_use_fused(bool use_fused) noexcept { use_fused_ = use_fused; }
   std::int64_t num_heads() const noexcept { return heads_; }
 
  private:
   std::int64_t dim_;
   std::int64_t heads_;
-  std::int64_t head_dim_;
   std::shared_ptr<Linear> wq_;
   std::shared_ptr<Linear> wk_;
   std::shared_ptr<Linear> wv_;
   std::shared_ptr<Linear> wo_;
-  std::shared_ptr<Dropout> attn_dropout_;
-  bool use_fused_ = true;
 };
 
 }  // namespace saga::nn

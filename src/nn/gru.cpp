@@ -8,7 +8,6 @@
 #include "tensor/eltwise/eltwise.hpp"
 #include "tensor/grad_mode.hpp"
 #include "tensor/matmul.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/shape_ops.hpp"
 
 namespace saga::nn {
@@ -58,25 +57,6 @@ Tensor GRUCell::step(const Tensor& gi, const Tensor& h) const {
   // one sweep; gi passes through as a strided view when it is a timestep
   // slice of the layer's precomputed gate buffer.
   return eltwise::gru_cell(gi, hidden_gates(h), h);
-}
-
-Tensor GRUCell::step_composed(const Tensor& gi, const Tensor& h) const {
-  // Gate order: [r | z | n].
-  const Tensor gh = hidden_gates(h);
-
-  const Tensor gi_r = slice(gi, 1, 0, hidden_);
-  const Tensor gi_z = slice(gi, 1, hidden_, hidden_);
-  const Tensor gi_n = slice(gi, 1, 2 * hidden_, hidden_);
-  const Tensor gh_r = slice(gh, 1, 0, hidden_);
-  const Tensor gh_z = slice(gh, 1, hidden_, hidden_);
-  const Tensor gh_n = slice(gh, 1, 2 * hidden_, hidden_);
-
-  const Tensor r = sigmoid(add(gi_r, gh_r));
-  const Tensor z = sigmoid(add(gi_z, gh_z));
-  const Tensor n = tanh_op(add(gi_n, mul(r, gh_n)));
-  // h' = (1 - z) * n + z * h
-  const Tensor one_minus_z = add_scalar(neg(z), 1.0F);
-  return add(mul(one_minus_z, n), mul(z, h));
 }
 
 void GRUCell::set_quantized(std::shared_ptr<const quant::LinearQuant> ih,

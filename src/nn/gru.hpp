@@ -30,14 +30,11 @@ class GRUCell : public Module {
 
   /// One step given precomputed input gates gi [B, 3H] and state h [B, H].
   /// Uses the fused eltwise::gru_cell kernel; gi may be a strided view (e.g.
-  /// one timestep selected from the layer's [B, T, 3H] gate buffer).
+  /// one timestep selected from the layer's [B, T, 3H] gate buffer). Under
+  /// the forced-scalar eltwise kernel it is bit-identical, forward and
+  /// backward, to the composed sigmoid/tanh/mul/add gate chain in
+  /// tests/reference.hpp.
   Tensor step(const Tensor& gi, const Tensor& h) const;
-
-  /// Reference implementation of step as the composed sigmoid/tanh/mul/add
-  /// gate chain. Kept for the fused cell's bit-identity tests: under the
-  /// forced-scalar eltwise kernel, step and step_composed produce identical
-  /// bits forward and backward.
-  Tensor step_composed(const Tensor& gi, const Tensor& h) const;
 
   std::int64_t hidden_dim() const noexcept { return hidden_; }
 

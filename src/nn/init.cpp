@@ -10,9 +10,4 @@ Tensor xavier_uniform(Shape shape, std::int64_t fan_in, std::int64_t fan_out,
   return Tensor::rand_uniform(std::move(shape), rng, -a, a, /*requires_grad=*/true);
 }
 
-Tensor kaiming_normal(Shape shape, std::int64_t fan_in, util::Rng& rng) {
-  const float stddev = std::sqrt(2.0F / static_cast<float>(fan_in));
-  return Tensor::randn(std::move(shape), rng, stddev, /*requires_grad=*/true);
-}
-
 }  // namespace saga::nn

@@ -10,7 +10,4 @@ namespace saga::nn {
 Tensor xavier_uniform(Shape shape, std::int64_t fan_in, std::int64_t fan_out,
                       util::Rng& rng);
 
-/// Kaiming/He normal for ReLU-family activations: N(0, sqrt(2 / fan_in)).
-Tensor kaiming_normal(Shape shape, std::int64_t fan_in, util::Rng& rng);
-
 }  // namespace saga::nn

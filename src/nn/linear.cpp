@@ -23,18 +23,31 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features,
   }
 }
 
-Tensor Linear::forward(const Tensor& x, Activation activation) const {
-  Tensor flat = x;
-  const bool is_3d = x.dim() == 3;
-  if (is_3d) {
-    flat = reshape(x, {-1, in_});
-  } else if (x.dim() != 2) {
+namespace {
+
+// [N, in] or [B, T, in] -> [rows, in], validated before any work is done:
+// checking the feature count only after the 3-D flatten would reinterpret a
+// mismatched buffer as wrong-sized rows.
+Tensor flatten_input(const Tensor& x, std::int64_t in) {
+  if (x.dim() != 2 && x.dim() != 3) {
     throw std::invalid_argument("Linear: input must be 2-D or 3-D");
   }
-  if (flat.size(1) != in_) {
-    throw std::invalid_argument("Linear: expected " + std::to_string(in_) +
-                                " features, got " + std::to_string(flat.size(1)));
+  if (x.size(-1) != in) {
+    throw std::invalid_argument("Linear: expected " + std::to_string(in) +
+                                " features, got " + std::to_string(x.size(-1)));
   }
+  return x.dim() == 3 ? reshape(x, {-1, in}) : x;
+}
+
+// Restores x's leading dimensions on a [rows, out] result.
+Tensor unflatten_output(const Tensor& y, const Tensor& x) {
+  return x.dim() == 3 ? reshape(y, {x.size(0), x.size(1), y.size(1)}) : y;
+}
+
+}  // namespace
+
+Tensor Linear::forward(const Tensor& x, Activation activation) const {
+  const Tensor flat = flatten_input(x, in_);
   Tensor y;
   if (quant_ != nullptr && !grad_enabled()) {
     y = quant::linear_forward(flat, *quant_);
@@ -47,8 +60,7 @@ Tensor Linear::forward(const Tensor& x, Activation activation) const {
   } else if (bias_.defined()) {
     y = eltwise::bias_add(y, bias_);
   }
-  if (is_3d) y = reshape(y, {x.size(0), x.size(1), out_});
-  return y;
+  return unflatten_output(y, x);
 }
 
 Tensor Linear::forward_chain(const Tensor& x, Activation activation,
@@ -56,24 +68,11 @@ Tensor Linear::forward_chain(const Tensor& x, Activation activation,
   const bool fused = quant_ != nullptr && next.quant_ != nullptr &&
                      !grad_enabled() && bias_.defined();
   if (!fused) return next.forward(forward(x, activation));
-  Tensor flat = x;
-  const bool is_3d = x.dim() == 3;
-  if (is_3d) {
-    flat = reshape(x, {-1, in_});
-  } else if (x.dim() != 2) {
-    throw std::invalid_argument("Linear: input must be 2-D or 3-D");
-  }
-  if (flat.size(1) != in_) {
-    throw std::invalid_argument("Linear: expected " + std::to_string(in_) +
-                                " features, got " +
-                                std::to_string(flat.size(1)));
-  }
-  Tensor y = quant::linear_chain_forward(flat, *quant_, bias_,
+  Tensor y = quant::linear_chain_forward(flatten_input(x, in_), *quant_, bias_,
                                          activation == Activation::kGelu,
                                          *next.quant_);
   if (next.bias_.defined()) y = eltwise::bias_add(y, next.bias_);
-  if (is_3d) y = reshape(y, {x.size(0), x.size(1), next.out_});
-  return y;
+  return unflatten_output(y, x);
 }
 
 void Linear::set_quantized(std::shared_ptr<const quant::LinearQuant> q) {

@@ -51,9 +51,6 @@ class Adam : public Optimizer {
   explicit Adam(std::vector<Tensor> params) : Adam(std::move(params), Options{}) {}
   void step() override;
 
-  void set_lr(double lr) noexcept { options_.lr = lr; }
-  double lr() const noexcept { return options_.lr; }
-
  private:
   Options options_;
   std::int64_t t_ = 0;

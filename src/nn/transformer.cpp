@@ -7,9 +7,11 @@ namespace saga::nn {
 TransformerBlock::TransformerBlock(const TransformerConfig& config,
                                    util::Rng& rng, std::uint64_t seed) {
   util::SeedSplitter seeds(seed);
-  attn_ = register_module(
-      "attn", std::make_shared<MultiHeadSelfAttention>(
-                  config.dim, config.num_heads, config.dropout, rng, seeds.next()));
+  // The first draw stays unused: dropout1/dropout2 take the second and third,
+  // and every seeded training result depends on those two streams.
+  (void)seeds.next();
+  attn_ = register_module("attn", std::make_shared<MultiHeadSelfAttention>(
+                                      config.dim, config.num_heads, rng));
   norm1_ = register_module("norm1", std::make_shared<LayerNorm>(config.dim));
   norm2_ = register_module("norm2", std::make_shared<LayerNorm>(config.dim));
   ff1_ = register_module("ff1",

@@ -32,8 +32,7 @@ void grow(std::vector<std::int32_t>& v, std::int64_t n) {
 }
 
 // Quantize m rows of fp32 into q's input encoding, padded to the k-group
-// depth (one fused eltwise sweep: the same arithmetic as
-// quantize_activations, plus pad zero-fill).
+// depth (one fused eltwise sweep with no bias, plus pad zero-fill).
 void quantize_rows(const float* src, std::int64_t m, const LinearQuant& q,
                    std::uint8_t* dst, std::int64_t k_padded) {
   eltwise::bias_act_quantize(src, nullptr, m, q.in, /*gelu=*/false,

@@ -25,9 +25,11 @@ float scale_for(float absmax, int levels) {
   return std::max(scale, std::numeric_limits<float>::min());
 }
 
-std::int32_t round_clamp(float value, std::int32_t lo, std::int32_t hi) {
-  const auto rounded = static_cast<std::int32_t>(std::lrintf(value));
-  return std::clamp(rounded, lo, hi);
+// Clamps in float before rounding, so a value past the int32 range
+// saturates instead of overflowing the conversion.
+std::int32_t round_clamp(float value, float limit) {
+  return static_cast<std::int32_t>(
+      std::lrintf(std::clamp(value, -limit, limit)));
 }
 
 }  // namespace
@@ -72,7 +74,7 @@ QuantBlob quantize_weights(const float* w, std::int64_t rows,
     for (std::int64_t r = 0; r < rows; ++r) {
       blob.values[static_cast<std::size_t>(r * cols + n)] =
           static_cast<std::int8_t>(
-              round_clamp(w[r * cols + n] * inv, -kWeightMax, kWeightMax));
+              round_clamp(w[r * cols + n] * inv, kWeightMax));
     }
   }
   return blob;
@@ -115,25 +117,6 @@ ActEncoding preferred_act_encoding() {
 
 float activation_scale(float absmax, ActEncoding encoding) {
   return scale_for(absmax, act_max(encoding));
-}
-
-void quantize_activations(const float* x, std::int64_t count, float scale,
-                          std::uint8_t* out, ActEncoding encoding) {
-  const float inv = 1.0F / scale;
-  const std::int32_t qmax = act_max(encoding);
-  const std::int32_t zero = act_zero(encoding);
-  for (std::int64_t i = 0; i < count; ++i) {
-    out[i] = static_cast<std::uint8_t>(round_clamp(x[i] * inv, -qmax, qmax) +
-                                       zero);
-  }
-}
-
-void dequantize_activations(const std::uint8_t* q, std::int64_t count,
-                            float scale, float* out, ActEncoding encoding) {
-  const int zero = act_zero(encoding);
-  for (std::int64_t i = 0; i < count; ++i) {
-    out[i] = static_cast<float>(static_cast<int>(q[i]) - zero) * scale;
-  }
 }
 
 namespace {

@@ -6,10 +6,11 @@
 //                clamped to [-127, 127].
 //   activations  per-tensor symmetric, in one of two encodings picked at
 //                prepare time from the dispatched GEMM kernel:
-//                  7-bit  scale_x = absmax / 63, q = clamp(round(x/s), +-63),
+//                  7-bit  scale_x = absmax / 63, q = round(clamp(x/s, +-63)),
 //                         stored unsigned as q + 64 in [1, 127]
-//                  8-bit  scale_x = absmax / 127, q = clamp(round(x/s), +-127),
+//                  8-bit  scale_x = absmax / 127, q = round(clamp(x/s, +-127)),
 //                         stored unsigned as q + 128 in [1, 255]
+//                (eltwise::bias_act_quantize; NaN takes the offset code)
 //
 // The 7-bit encoding is what makes the AVX2 maddubs GEMM kernel exact: its
 // u8*s8 byte-pair sums saturate at +-32767, and 127*127*2 = 32258 never
@@ -112,17 +113,6 @@ std::vector<float> dequantize_weights(const QuantBlob& blob);
 /// Activation scale for a recorded absolute maximum (absmax/act_max, with
 /// the same zero/underflow handling as weight scales).
 float activation_scale(float absmax, ActEncoding encoding = ActEncoding::k7Bit);
-
-/// q[i] = clamp(round(x[i] / scale), -act_max, act_max) + act_zero — the
-/// unsigned input the int8 GEMM consumes.
-void quantize_activations(const float* x, std::int64_t count, float scale,
-                          std::uint8_t* out,
-                          ActEncoding encoding = ActEncoding::k7Bit);
-
-/// x[i] ~= (q[i] - act_zero) * scale.
-void dequantize_activations(const std::uint8_t* q, std::int64_t count,
-                            float scale, float* out,
-                            ActEncoding encoding = ActEncoding::k7Bit);
 
 // ---- calibration ----------------------------------------------------------
 

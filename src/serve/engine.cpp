@@ -140,7 +140,7 @@ Engine::Request Engine::make_request(std::span<const float> window,
   Request request;
   request.priority = options.priority;
   request.window.assign(window.begin(), window.end());
-  if (config_.apply_normalization && !artifact_.norm_mean.empty()) {
+  if (!artifact_.norm_mean.empty()) {
     const auto channels = static_cast<std::size_t>(artifact_.channels());
     for (std::size_t i = 0; i < request.window.size(); ++i) {
       const std::size_t c = i % channels;

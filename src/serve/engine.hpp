@@ -118,9 +118,6 @@ struct EngineConfig {
   /// max_batch_size) × the EWMA batch latency, so an engine with no batch
   /// history or with less than one full batch queued never rejects.
   bool deadline_admission = true;
-  /// Apply the artifact's per-channel normalization stats (when present) to
-  /// incoming windows. Disable when callers pre-normalize.
-  bool apply_normalization = true;
   /// Synthetic (zeros-window) forward passes run at construction to seed
   /// ewma_batch_ms before any real traffic arrives. Without this, deadline
   /// admission is wide open on a cold engine: the gate needs a latency

@@ -216,13 +216,4 @@ LoadReport run_load(Router& router, const LoadOptions& options) {
       values, options);
 }
 
-LoadReport run_load(Engine& engine, std::size_t clients,
-                    std::size_t per_client, std::uint64_t seed) {
-  LoadOptions options;
-  options.clients = clients;
-  options.per_client = per_client;
-  options.seed = seed;
-  return run_load(engine, options);
-}
-
 }  // namespace saga::serve

@@ -106,9 +106,4 @@ struct LoadReport {
 LoadReport run_load(Engine& engine, const LoadOptions& options);
 LoadReport run_load(Router& router, const LoadOptions& options);
 
-/// Legacy closed-loop signature (pre-async API); kept so existing callers
-/// migrate mechanically.
-LoadReport run_load(Engine& engine, std::size_t clients, std::size_t per_client,
-                    std::uint64_t seed = 1);
-
 }  // namespace saga::serve

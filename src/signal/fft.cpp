@@ -60,19 +60,4 @@ std::vector<double> amplitude_spectrum(const std::vector<double>& x) {
   return amplitude;
 }
 
-std::vector<std::complex<double>> naive_dft(const std::vector<double>& x) {
-  const std::size_t n = next_pow2(x.size());
-  std::vector<std::complex<double>> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    std::complex<double> acc(0.0, 0.0);
-    for (std::size_t t = 0; t < x.size(); ++t) {
-      const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) *
-                           static_cast<double>(t) / static_cast<double>(n);
-      acc += x[t] * std::complex<double>(std::cos(angle), std::sin(angle));
-    }
-    out[k] = acc;
-  }
-  return out;
-}
-
 }  // namespace saga::signal

@@ -27,7 +27,4 @@ std::vector<std::complex<double>> rfft(const std::vector<double>& x);
 /// Amplitude spectrum |X_k| for k in [0, N/2] of the padded transform.
 std::vector<double> amplitude_spectrum(const std::vector<double>& x);
 
-/// Reference O(N^2) DFT used by tests to validate the FFT.
-std::vector<std::complex<double>> naive_dft(const std::vector<double>& x);
-
 }  // namespace saga::signal

@@ -10,7 +10,8 @@ namespace saga::stream {
 namespace {
 
 ComposerConfig checked(ComposerConfig config) {
-  if (config.min_margin < 0.0 || config.min_margin > 1.0) {
+  // Negated in-range test, so NaN (which fails every comparison) is rejected.
+  if (!(config.min_margin >= 0.0 && config.min_margin <= 1.0)) {
     throw std::invalid_argument("Composer: min_margin must be in [0, 1]");
   }
   if (config.hysteresis < 1) {

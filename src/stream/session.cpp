@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -11,6 +12,8 @@ namespace saga::stream {
 
 namespace {
 
+// The rates are checked by data::decimation_factor, the gap tolerance by
+// gap_limit_us.
 SessionConfig checked(const SessionConfig& config) {
   if (config.window_length <= 0) {
     throw std::invalid_argument("Session: window_length must be positive");
@@ -20,13 +23,23 @@ SessionConfig checked(const SessionConfig& config) {
         "Session: hop must be in [1, window_length] (overlapping or "
         "tumbling windows)");
   }
-  if (config.source_rate_hz <= 0.0 || config.target_hz <= 0.0) {
-    throw std::invalid_argument("Session: rates must be positive");
-  }
-  if (config.gap_tolerance <= 0.0) {
-    throw std::invalid_argument("Session: gap_tolerance must be positive");
-  }
   return config;
+}
+
+// gap_tolerance source periods in microseconds, rounded up. Zero, negative,
+// NaN and infinite tolerances fail the range check, as does a limit past the
+// int64 clock (a tiny rate or a huge tolerance), whose conversion would be
+// undefined.
+std::int64_t gap_limit_us(const SessionConfig& config) {
+  const double limit =
+      std::ceil(config.gap_tolerance * 1e6 / config.source_rate_hz);
+  if (!(limit > 0.0 &&
+        limit < static_cast<double>(std::numeric_limits<std::int64_t>::max()))) {
+    throw std::invalid_argument(
+        "Session: gap_tolerance must be positive and finite, and at most "
+        "2^63 us at the source rate");
+  }
+  return static_cast<std::int64_t>(limit);
 }
 
 }  // namespace
@@ -37,8 +50,7 @@ Session::Session(std::string id, const SessionConfig& config)
       factor_(data::decimation_factor(config.source_rate_hz, config.target_hz)),
       raw_window_(config.window_length * factor_),
       raw_hop_(config.hop * factor_),
-      gap_limit_us_(static_cast<std::int64_t>(
-          std::ceil(config.gap_tolerance * 1e6 / config.source_rate_hz))),
+      gap_limit_us_(gap_limit_us(config)),
       ring_(config.ring_capacity != 0
                 ? config.ring_capacity
                 : static_cast<std::size_t>(4 * raw_window_)) {

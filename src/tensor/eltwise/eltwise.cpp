@@ -56,34 +56,7 @@ std::string kernel_name(Kernel kernel) { return kernels().name(kernel); }
 
 ForceKernelGuard::ForceKernelGuard(Kernel kernel) : pin_(kernels(), kernel) {}
 
-Tensor bias_add(const Tensor& x_in, const Tensor& bias_in) {
-  check_bias(x_in, bias_in, "bias_add");
-  const Tensor x = contiguous(x_in);
-  const Tensor bias = contiguous(bias_in);
-  const std::int64_t m = bias.numel();
-  const std::int64_t blocks = x.numel() / m;
-  const detail::Kernels& kt = active_table();
-  std::vector<float> out(static_cast<std::size_t>(x.numel()));
-  kt.tile_add(x.impl()->data_ptr(), bias.impl()->data_ptr(), 1.0F, out.data(),
-              blocks, m);
-  return saga::detail::make_result(
-      x.shape(), std::move(out), {&x, &bias}, "bias_add", [&] {
-        return [x_impl = x.impl(), b_impl = bias.impl(), kt = &kt, blocks,
-                m](const TensorImpl& o) {
-          const float* go = o.grad_ptr();
-          if (saga::detail::wants_grad(*x_impl)) {
-            float* gx = x_impl->grad_ptr();
-            const auto n = static_cast<std::size_t>(o.numel());
-            for (std::size_t i = 0; i < n; ++i) gx[i] += go[i];
-          }
-          if (saga::detail::wants_grad(*b_impl)) {
-            kt->tile_add_bwd(go, 1.0F, b_impl->grad_ptr(), blocks, m);
-          }
-        };
-      });
-}
-
-Tensor scale_add(const Tensor& x_in, const Tensor& tile_in, float alpha) {
+Tensor bias_add(const Tensor& x_in, const Tensor& tile_in) {
   const std::int64_t rank = x_in.dim();
   const std::int64_t tile_rank = tile_in.dim();
   bool suffix_ok = tile_rank >= 1 && tile_rank <= rank;
@@ -92,7 +65,7 @@ Tensor scale_add(const Tensor& x_in, const Tensor& tile_in, float alpha) {
   }
   if (!suffix_ok) {
     throw std::invalid_argument(
-        "scale_add: tile shape must be a suffix of x's shape, got x " +
+        "bias_add: tile shape must be a suffix of x's shape, got x " +
         shape_str(x_in.shape()) + " tile " + shape_str(tile_in.shape()));
   }
   const Tensor x = contiguous(x_in);
@@ -101,12 +74,12 @@ Tensor scale_add(const Tensor& x_in, const Tensor& tile_in, float alpha) {
   const std::int64_t blocks = x.numel() / m;
   const detail::Kernels& kt = active_table();
   std::vector<float> out(static_cast<std::size_t>(x.numel()));
-  kt.tile_add(x.impl()->data_ptr(), tile.impl()->data_ptr(), alpha, out.data(),
+  kt.tile_add(x.impl()->data_ptr(), tile.impl()->data_ptr(), out.data(),
               blocks, m);
   return saga::detail::make_result(
-      x.shape(), std::move(out), {&x, &tile}, "scale_add", [&] {
-        return [x_impl = x.impl(), t_impl = tile.impl(), kt = &kt, alpha,
-                blocks, m](const TensorImpl& o) {
+      x.shape(), std::move(out), {&x, &tile}, "bias_add", [&] {
+        return [x_impl = x.impl(), t_impl = tile.impl(), kt = &kt, blocks,
+                m](const TensorImpl& o) {
           const float* go = o.grad_ptr();
           if (saga::detail::wants_grad(*x_impl)) {
             float* gx = x_impl->grad_ptr();
@@ -114,7 +87,7 @@ Tensor scale_add(const Tensor& x_in, const Tensor& tile_in, float alpha) {
             for (std::size_t i = 0; i < n; ++i) gx[i] += go[i];
           }
           if (saga::detail::wants_grad(*t_impl)) {
-            kt->tile_add_bwd(go, alpha, t_impl->grad_ptr(), blocks, m);
+            kt->tile_add_bwd(go, t_impl->grad_ptr(), blocks, m);
           }
         };
       });
@@ -290,9 +263,9 @@ void bias_act_quantize(const float* x, const float* bias, std::int64_t rows,
         "bias_act_quantize: out_stride must cover the row width");
   }
   if (rows <= 0 || d <= 0) return;
-  // Reciprocal (not division per element) to match quantize_activations'
-  // arithmetic exactly — the fused path must be bit-identical to the
-  // two-pass composition it replaces.
+  // Reciprocal (not division per element), as the reference quantize in
+  // tests/reference.hpp does: the fused path must be bit-identical to that
+  // two-pass composition.
   const float inv = 1.0F / act_scale;
   active_table().bias_act_quant(x, bias, gelu, inv, act_zero, act_max, out,
                                 out_stride, rows, d);

@@ -1,6 +1,7 @@
 // saga::eltwise — the fused elementwise engine behind the nn/model hot
-// paths: bias adds, bias+GELU, residual+layer-norm, and tiled broadcast
-// (positional) adds, each with forward and backward.
+// paths: tiled bias adds (a [D] bias, or the [T, H] positional embedding),
+// bias+GELU, residual+layer-norm and the GRU cell, each with forward and
+// backward, plus the int8 path's bias+quantize epilogue.
 //
 // Why a unit of its own: after the GEMM rewrite, roughly half of backbone
 // forward time sat in composed elementwise chains — every `add(y, bias)`
@@ -16,9 +17,10 @@
 // runs and independent of grad mode (the tape only adds saved state, never
 // changes forward arithmetic). The scalar kernel performs exactly the
 // composed ops' per-element arithmetic, so forced-scalar fused results are
-// bit-identical to the composed reference; the AVX2 kernel agrees to
-// rounding (like gemm's kernels). SAGA_FORCE_SCALAR=1 pins dispatch to
-// scalar (read once per process).
+// bit-identical to the composed references in tests/reference.hpp (layer
+// norm, GRU gate chain, activation quantize) and to saga::add; the AVX2
+// kernel agrees to rounding (like gemm's kernels). SAGA_FORCE_SCALAR=1 pins
+// dispatch to scalar (read once per process).
 #pragma once
 
 #include <cstdint>
@@ -56,10 +58,12 @@ class ForceKernelGuard {
 
 // ---- fused ops (autograd-aware, drop-in for their composed chains) -------
 
-/// y = x + bias, bias a [D] vector broadcast over the rows of x's trailing
-/// dimension. Replaces `add(x, bias)`'s generic broadcast odometer with one
-/// contiguous row sweep.
-Tensor bias_add(const Tensor& x, const Tensor& bias);
+/// y = x + tile, where tile's shape is a suffix of x's shape and is
+/// repeated across the leading dimensions: a [D] bias over the rows of a
+/// Linear output, or the positional [T, H] embedding over [B, T, H]
+/// activations. Replaces `add(x, tile)`'s generic broadcast odometer with
+/// one contiguous sweep, bit-identical to it.
+Tensor bias_add(const Tensor& x, const Tensor& tile);
 
 /// y = gelu(x + bias) in one pass (tanh approximation, as ops.cpp gelu).
 /// `bias` may be an undefined Tensor for plain fused GELU; saga::gelu
@@ -74,11 +78,6 @@ Tensor residual_layer_norm(const Tensor& x, const Tensor& residual,
                            const Tensor& gamma, const Tensor& beta,
                            float eps = 1e-5F);
 
-/// out = x + alpha * tile, where tile's shape is a suffix of x's shape and
-/// is repeated across the leading dimensions (tail-aligned contiguous
-/// broadcast; e.g. positional [T, H] added to [B, T, H] activations).
-Tensor scale_add(const Tensor& x, const Tensor& tile, float alpha = 1.0F);
-
 /// Fused GRU cell: h' = (1 - z) * n + z * h with r/z/n computed from the
 /// packed [r | z | n] gate pre-activations gi ([B, 3H], input side — may be
 /// a row-strided view, e.g. one timestep selected from a [B, T, 3H] buffer;
@@ -90,14 +89,17 @@ Tensor gru_cell(const Tensor& gi, const Tensor& gh, const Tensor& h);
 
 /// Fused bias add (+ optional GELU) + activation quantize over a [rows, d]
 /// fp32 buffer, emitting the unsigned codes the int8 GEMM consumes:
-///   out[i*out_stride + j] = clamp(rint((x[i*d+j] + bias[j]) / act_scale
-///                                 after optional gelu), -act_max, act_max)
+///   out[i*out_stride + j] = rint(clamp((x[i*d+j] + bias[j]) / act_scale
+///                                after optional gelu, -act_max, act_max))
 ///                           + act_zero
+/// The clamp runs in float before rounding, so values past the code range
+/// (±Inf included) saturate to ±act_max; NaN takes code act_zero (the
+/// value 0). Every kernel and column gives the same code for the same value.
 /// `bias` may be nullptr (pure quantize — the entry sweep of the int8 path);
 /// out_stride >= d, with columns d..out_stride-1 zero-filled so rows can be
 /// written straight into k-group-padded GEMM input. Pointer-level and
-/// fwd-only: this is saga::quant's inter-layer epilogue, fusing what was a
-/// bias_add/bias_gelu pass plus a separate quantize_activations sweep.
+/// fwd-only: this is saga::quant's inter-layer epilogue, one sweep in place
+/// of a bias_add/bias_gelu pass plus a separate quantize pass.
 void bias_act_quantize(const float* x, const float* bias, std::int64_t rows,
                        std::int64_t d, bool gelu, float act_scale,
                        std::int32_t act_zero, std::int32_t act_max,

@@ -19,7 +19,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cmath>
 
 namespace saga::eltwise::detail {
@@ -115,32 +114,30 @@ inline __m256d acc_pd(__m256d acc, __m256 v) {
   return _mm256_add_pd(acc, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
 }
 
-void tile_add(const float* x, const float* t, float alpha, float* out,
-              std::int64_t blocks, std::int64_t m) {
-  const __m256 a = _mm256_set1_ps(alpha);
+void tile_add(const float* x, const float* t, float* out, std::int64_t blocks,
+              std::int64_t m) {
   for (std::int64_t b = 0; b < blocks; ++b) {
     const float* xb = x + b * m;
     float* ob = out + b * m;
     std::int64_t j = 0;
     for (; j + 8 <= m; j += 8) {
-      _mm256_storeu_ps(ob + j, _mm256_fmadd_ps(a, _mm256_loadu_ps(t + j),
-                                               _mm256_loadu_ps(xb + j)));
+      _mm256_storeu_ps(ob + j, _mm256_add_ps(_mm256_loadu_ps(xb + j),
+                                             _mm256_loadu_ps(t + j)));
     }
-    for (; j < m; ++j) ob[j] = xb[j] + alpha * t[j];
+    for (; j < m; ++j) ob[j] = xb[j] + t[j];
   }
 }
 
-void tile_add_bwd(const float* g, float alpha, float* gt, std::int64_t blocks,
+void tile_add_bwd(const float* g, float* gt, std::int64_t blocks,
                   std::int64_t m) {
-  const __m256 a = _mm256_set1_ps(alpha);
   for (std::int64_t b = 0; b < blocks; ++b) {
     const float* gb = g + b * m;
     std::int64_t j = 0;
     for (; j + 8 <= m; j += 8) {
-      _mm256_storeu_ps(gt + j, _mm256_fmadd_ps(a, _mm256_loadu_ps(gb + j),
-                                               _mm256_loadu_ps(gt + j)));
+      _mm256_storeu_ps(gt + j, _mm256_add_ps(_mm256_loadu_ps(gt + j),
+                                             _mm256_loadu_ps(gb + j)));
     }
-    for (; j < m; ++j) gt[j] += alpha * gb[j];
+    for (; j < m; ++j) gt[j] += gb[j];
   }
 }
 
@@ -457,8 +454,8 @@ void bias_act_quant(const float* x, const float* t, bool gelu, float inv_scale,
                     std::int64_t out_stride, std::int64_t blocks,
                     std::int64_t m) {
   const __m256 inv = _mm256_set1_ps(inv_scale);
-  const __m256i lo = _mm256_set1_epi32(-qmax);
-  const __m256i hi = _mm256_set1_epi32(qmax);
+  const __m256 lo = _mm256_set1_ps(static_cast<float>(-qmax));
+  const __m256 hi = _mm256_set1_ps(static_cast<float>(qmax));
   const __m256i z8 = _mm256_set1_epi32(zero);
   for (std::int64_t b = 0; b < blocks; ++b) {
     const float* xb = x + b * m;
@@ -468,11 +465,16 @@ void bias_act_quant(const float* x, const float* t, bool gelu, float inv_scale,
       __m256 act = _mm256_loadu_ps(xb + j);
       if (t != nullptr) act = _mm256_add_ps(act, _mm256_loadu_ps(t + j));
       if (gelu) act = gelu256(act);
-      // cvtps rounds to nearest-even like the scalar path's lrintf; the
-      // clamp bounds the values before the +zero offset, so the two 128-bit
-      // unsigned-saturating packs below can never themselves saturate.
-      __m256i q = _mm256_cvtps_epi32(_mm256_mul_ps(act, inv));
-      q = _mm256_add_epi32(_mm256_min_epi32(_mm256_max_epi32(q, lo), hi), z8);
+      // quantize_code lane-wise: NaN lanes zeroed (the ordered self-compare
+      // is false only for NaN), a float clamp (cvtps of a value past the
+      // int32 range would give INT32_MIN), then cvtps, which rounds to
+      // nearest-even like lrintf. The clamp bounds the values before the
+      // +zero offset, so the two 128-bit unsigned-saturating packs below can
+      // never themselves saturate.
+      __m256 v = _mm256_mul_ps(act, inv);
+      v = _mm256_and_ps(v, _mm256_cmp_ps(v, v, _CMP_ORD_Q));
+      v = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
+      const __m256i q = _mm256_add_epi32(_mm256_cvtps_epi32(v), z8);
       const __m128i q16 = _mm_packus_epi32(_mm256_castsi256_si128(q),
                                            _mm256_extracti128_si256(q, 1));
       _mm_storel_epi64(reinterpret_cast<__m128i*>(ob + j),
@@ -481,9 +483,8 @@ void bias_act_quant(const float* x, const float* t, bool gelu, float inv_scale,
     for (; j < m; ++j) {
       float act = t == nullptr ? xb[j] : xb[j] + t[j];
       if (gelu) act = gelu_fwd_ref(act);
-      const auto q = static_cast<std::int32_t>(std::lrintf(act * inv_scale));
       ob[j] = static_cast<std::uint8_t>(
-          std::min(std::max(q, -qmax), qmax) + zero);
+          quantize_code(act * inv_scale, qmax) + zero);
     }
     for (; j < out_stride; ++j) ob[j] = 0;
   }

@@ -1,10 +1,10 @@
 // Portable eltwise kernels: the semantic reference for the fused ops.
 //
 // Each loop performs exactly the per-element arithmetic of the composed ops
-// it replaces (ops.cpp GeluPolicy, reduce.cpp layer_norm_lastdim, broadcast
-// add), in the same order — so forced-scalar fused results are bit-identical
-// to the composed reference path (tested in tests/test_eltwise.cpp).
-#include <algorithm>
+// it replaces (broadcast add, add + gelu, add + layer norm, the GRU gate
+// chain), in the same order — so forced-scalar fused results are
+// bit-identical to the composed references in tests/reference.hpp (tested in
+// tests/test_eltwise.cpp and tests/test_gru_cell.cpp).
 #include <cmath>
 
 #include "tensor/eltwise/gelu_math.hpp"
@@ -15,20 +15,20 @@ namespace saga::eltwise::detail {
 
 namespace {
 
-void tile_add(const float* x, const float* t, float alpha, float* out,
-              std::int64_t blocks, std::int64_t m) {
+void tile_add(const float* x, const float* t, float* out, std::int64_t blocks,
+              std::int64_t m) {
   for (std::int64_t b = 0; b < blocks; ++b) {
     const float* xb = x + b * m;
     float* ob = out + b * m;
-    for (std::int64_t j = 0; j < m; ++j) ob[j] = xb[j] + alpha * t[j];
+    for (std::int64_t j = 0; j < m; ++j) ob[j] = xb[j] + t[j];
   }
 }
 
-void tile_add_bwd(const float* g, float alpha, float* gt, std::int64_t blocks,
+void tile_add_bwd(const float* g, float* gt, std::int64_t blocks,
                   std::int64_t m) {
   for (std::int64_t b = 0; b < blocks; ++b) {
     const float* gb = g + b * m;
-    for (std::int64_t j = 0; j < m; ++j) gt[j] += alpha * gb[j];
+    for (std::int64_t j = 0; j < m; ++j) gt[j] += gb[j];
   }
 }
 
@@ -199,10 +199,8 @@ void bias_act_quant(const float* x, const float* t, bool gelu, float inv_scale,
     for (std::int64_t j = 0; j < m; ++j) {
       float act = t == nullptr ? xb[j] : xb[j] + t[j];
       if (gelu) act = gelu_fwd_ref(act);
-      // lrintf (round-to-nearest-even) matches both quantize_activations and
-      // the AVX2 kernel's cvtps conversion.
-      const auto q = static_cast<std::int32_t>(std::lrintf(act * inv_scale));
-      ob[j] = static_cast<std::uint8_t>(std::clamp(q, -qmax, qmax) + zero);
+      ob[j] = static_cast<std::uint8_t>(
+          quantize_code(act * inv_scale, qmax) + zero);
     }
     for (std::int64_t j = m; j < out_stride; ++j) ob[j] = 0;
   }

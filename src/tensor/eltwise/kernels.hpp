@@ -14,23 +14,37 @@
 //
 // The scalar kernel is the semantic reference: it performs exactly the same
 // per-element arithmetic, in the same order, as the composed ops it fuses
-// (add + gelu, add + layer_norm_lastdim, broadcast add), so forced-scalar
-// fused results are bit-identical to the composed path. The AVX2 kernel
-// agrees with it only to rounding (vectorized exp/tanh and lane-split
-// reductions), mirroring the gemm kernel contract.
+// (broadcast add, add + gelu, add + layer norm, the GRU gate chain), so
+// forced-scalar fused results are bit-identical to the composed references
+// in tests/reference.hpp. The AVX2 kernel agrees with it only to rounding
+// (vectorized exp/tanh and lane-split reductions), mirroring the gemm kernel
+// contract.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 namespace saga::eltwise::detail {
 
+/// One activation's signed int8 code: v clamped to [-qmax, qmax] in float,
+/// then rounded to nearest-even (lrintf; the AVX2 body's cvtps rounds the
+/// same way). Clamping first keeps values past the int32 range, ±Inf
+/// included, on the saturated code; NaN maps to 0. The scalar kernel uses
+/// this for every element, the AVX2 kernel for its tail columns.
+inline std::int32_t quantize_code(float v, std::int32_t qmax) {
+  if (std::isnan(v)) return 0;
+  const auto limit = static_cast<float>(qmax);
+  return static_cast<std::int32_t>(std::lrintf(std::clamp(v, -limit, limit)));
+}
+
 struct Kernels {
-  /// out[b*m + j] = x[b*m + j] + alpha * t[j]
-  void (*tile_add)(const float* x, const float* t, float alpha, float* out,
+  /// out[b*m + j] = x[b*m + j] + t[j]
+  void (*tile_add)(const float* x, const float* t, float* out,
                    std::int64_t blocks, std::int64_t m);
-  /// gt[j] += alpha * sum_b g[b*m + j]  (tile gradient of tile_add)
-  void (*tile_add_bwd)(const float* g, float alpha, float* gt,
-                       std::int64_t blocks, std::int64_t m);
+  /// gt[j] += sum_b g[b*m + j]  (tile gradient of tile_add)
+  void (*tile_add_bwd)(const float* g, float* gt, std::int64_t blocks,
+                       std::int64_t m);
   /// y[i] = gelu(x[i] + t[i % m]) with the tanh approximation; `t` may be
   /// nullptr for plain fused GELU (then m is just a chunk length).
   void (*bias_gelu)(const float* x, const float* t, float* y,
@@ -79,12 +93,13 @@ struct Kernels {
   /// Fused bias add (+ optional GELU) + activation quantize, the int8 serve
   /// path's inter-layer epilogue (fwd-only; int8 runs under NoGrad). Over the
   /// [blocks, m] tiled view: act = x + t (t nullable, as bias_gelu), then
-  /// gelu(act) when `gelu`, then u8 code clamp(rint(act * inv_scale), -qmax,
+  /// gelu(act) when `gelu`, then u8 code quantize_code(act * inv_scale,
   /// qmax) + zero into out[b * out_stride + j]. out_stride >= m; columns
   /// m..out_stride-1 of each row are zero-filled (the int8 GEMM's k-group
-  /// padding). The add variant performs the same IEEE add/mul/rint as
-  /// quantize_activations-after-bias_add, with no contractible FMA shape, so
-  /// scalar and AVX2 agree bit-for-bit; the gelu variant matches its OWN
+  /// padding). The add variant performs the same IEEE add/mul/clamp/rint as
+  /// bias_add followed by the reference quantize (tests/reference.hpp), with
+  /// no contractible FMA shape, so scalar and AVX2 agree bit-for-bit on
+  /// every value, NaN and ±Inf included; the gelu variant matches its OWN
   /// kernel's bias_gelu-then-quantize composition (AVX2 gelu differs from
   /// scalar in low bits, exactly as bias_gelu documents).
   void (*bias_act_quant)(const float* x, const float* t, bool gelu,

@@ -14,8 +14,4 @@ NoGradGuard::NoGradGuard() noexcept : previous_(t_grad_enabled) {
 
 NoGradGuard::~NoGradGuard() noexcept { t_grad_enabled = previous_; }
 
-namespace detail {
-void set_grad_enabled(bool enabled) noexcept { t_grad_enabled = enabled; }
-}  // namespace detail
-
 }  // namespace saga

@@ -19,8 +19,4 @@ class NoGradGuard {
   bool previous_;
 };
 
-namespace detail {
-void set_grad_enabled(bool enabled) noexcept;
-}  // namespace detail
-
 }  // namespace saga

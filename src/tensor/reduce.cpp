@@ -114,101 +114,6 @@ Tensor log_softmax_lastdim(const Tensor& a_in) {
   });
 }
 
-Tensor layer_norm_lastdim(const Tensor& x_in, const Tensor& gamma_in,
-                          const Tensor& beta_in, float eps) {
-  const Tensor x = contiguous(x_in);
-  const Tensor gamma = contiguous(gamma_in);
-  const Tensor beta = contiguous(beta_in);
-  const std::int64_t cols = x.size(-1);
-  const std::int64_t rows = x.numel() / cols;
-  if (gamma.numel() != cols || beta.numel() != cols) {
-    throw std::invalid_argument("layer_norm: gamma/beta must be [D]");
-  }
-  // xhat / inv_std are backward-only state: computed and saved only when the
-  // tape is active for these inputs, so NoGrad forwards skip the extra
-  // buffer entirely (the per-element arithmetic producing `out` is identical
-  // either way, keeping NoGrad and tape forwards bit-identical).
-  const bool tape = detail::tape_active({&x, &gamma, &beta});
-  std::vector<float> out(static_cast<std::size_t>(x.numel()));
-  std::vector<float> xhat(tape ? static_cast<std::size_t>(x.numel()) : 0);
-  std::vector<float> inv_std(tape ? static_cast<std::size_t>(rows) : 0);
-  const float* xd = x.data().data();
-  const float* gd = gamma.data().data();
-  const float* bd = beta.data().data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = xd + r * cols;
-    double mu = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) mu += row[c];
-    mu /= static_cast<double>(cols);
-    double var = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      const double d = row[c] - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(cols);
-    const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-    float* y = out.data() + r * cols;
-    if (tape) {
-      inv_std[static_cast<std::size_t>(r)] = istd;
-      float* xh_row = xhat.data() + r * cols;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        xh_row[c] = (row[c] - static_cast<float>(mu)) * istd;
-        y[c] = gd[c] * xh_row[c] + bd[c];
-      }
-    } else {
-      for (std::int64_t c = 0; c < cols; ++c) {
-        const float xh = (row[c] - static_cast<float>(mu)) * istd;
-        y[c] = gd[c] * xh + bd[c];
-      }
-    }
-  }
-
-  return detail::make_result(
-      x.shape(), std::move(out), {&x, &gamma, &beta}, "layer_norm", [&] {
-    return [x_impl = x.impl(), g_impl = gamma.impl(), b_impl = beta.impl(),
-            rows, cols, xhat = std::move(xhat),
-            inv_std = std::move(inv_std)](const TensorImpl& o) {
-        const float* go = o.grad_ptr();
-        const float* gamma_d = g_impl->data_ptr();
-        const bool need_x = detail::wants_grad(*x_impl);
-        const bool need_g = detail::wants_grad(*g_impl);
-        const bool need_b = detail::wants_grad(*b_impl);
-        float* gx = need_x ? x_impl->grad_ptr() : nullptr;
-        float* gg = need_g ? g_impl->grad_ptr() : nullptr;
-        float* gb = need_b ? b_impl->grad_ptr() : nullptr;
-        for (std::int64_t r = 0; r < rows; ++r) {
-          const float* gr = go + r * cols;
-          const float* xh = xhat.data() + r * cols;
-          const float istd = inv_std[static_cast<std::size_t>(r)];
-          if (need_g || need_b) {
-            for (std::int64_t c = 0; c < cols; ++c) {
-              if (gg != nullptr) gg[c] += gr[c] * xh[c];
-              if (gb != nullptr) gb[c] += gr[c];
-            }
-          }
-          if (need_x) {
-            // dx = istd * (h - mean(h) - xhat * mean(h * xhat)),
-            // with h = gamma * dy.
-            double mean_h = 0.0;
-            double mean_hx = 0.0;
-            for (std::int64_t c = 0; c < cols; ++c) {
-              const double h = double(gamma_d[c]) * gr[c];
-              mean_h += h;
-              mean_hx += h * xh[c];
-            }
-            mean_h /= static_cast<double>(cols);
-            mean_hx /= static_cast<double>(cols);
-            float* gxr = gx + r * cols;
-            for (std::int64_t c = 0; c < cols; ++c) {
-              const double h = double(gamma_d[c]) * gr[c];
-              gxr[c] += static_cast<float>(istd * (h - mean_h - xh[c] * mean_hx));
-            }
-          }
-        }
-    };
-  });
-}
-
 Tensor mean_over_time(const Tensor& x_in) {
   if (x_in.dim() != 3) throw std::invalid_argument("mean_over_time: expects [B,T,D]");
   const Tensor x = contiguous(x_in);

@@ -15,11 +15,6 @@ Tensor softmax_lastdim(const Tensor& a);
 /// Log-softmax over the last dimension (numerically stable).
 Tensor log_softmax_lastdim(const Tensor& a);
 
-/// Layer normalization over the last dimension:
-/// y = gamma * (x - mu) / sqrt(var + eps) + beta, gamma/beta shaped [D].
-Tensor layer_norm_lastdim(const Tensor& x, const Tensor& gamma,
-                          const Tensor& beta, float eps = 1e-5F);
-
 /// Mean over the second dimension of a [B, T, D] tensor -> [B, D]
 /// (sequence pooling).
 Tensor mean_over_time(const Tensor& x);

@@ -22,6 +22,4 @@ double env_double(const std::string& name, double fallback) {
   return parsed;
 }
 
-double bench_scale() { return env_double("SAGA_BENCH_SCALE", 1.0); }
-
 }  // namespace saga::util

@@ -13,7 +13,4 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback);
 /// Returns the double value of `name`, or `fallback` when unset/malformed.
 double env_double(const std::string& name, double fallback);
 
-/// Global scale factor for bench workloads (SAGA_BENCH_SCALE, default 1.0).
-double bench_scale();
-
 }  // namespace saga::util

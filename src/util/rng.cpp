@@ -36,11 +36,6 @@ std::int64_t Rng::geometric_clipped(double p, std::int64_t max_value) {
   return std::min(trials, max_value);
 }
 
-bool Rng::bernoulli(double p) {
-  std::bernoulli_distribution dist(p);
-  return dist(engine_);
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
   std::iota(idx.begin(), idx.end(), std::size_t{0});

@@ -71,8 +71,6 @@ class Rng {
   /// [1, max_value]; this is the span-length distribution of paper Eq. in
   /// Sec. IV-C: P(c = k) = (1-p)^{k-1} p.
   std::int64_t geometric_clipped(double p, std::int64_t max_value);
-  /// Bernoulli trial with success probability p.
-  bool bernoulli(double p);
 
   /// Fisher-Yates shuffle of indices [0, n).
   std::vector<std::size_t> permutation(std::size_t n);

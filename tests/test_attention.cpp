@@ -2,6 +2,7 @@
 
 #include "gradcheck.hpp"
 #include "nn/attention.hpp"
+#include "reference.hpp"
 #include "tensor/attention_fused.hpp"
 #include "tensor/reduce.hpp"
 #include "tensor/ops.hpp"
@@ -38,15 +39,14 @@ TEST(FusedAttention, SingleHeadUniformValuesAveragesV) {
 }
 
 TEST(FusedAttention, MatchesComposedPath) {
-  // Composed reference path (eval mode, dropout off) must match the fused op.
+  // The module's fused forward must match the slice-per-head composed
+  // reference built from the same parameters.
   util::Rng rng(3);
-  nn::MultiHeadSelfAttention attention(8, 2, /*dropout_p=*/0.0, rng, 7);
-  attention.set_training(false);
+  nn::MultiHeadSelfAttention attention(8, 2, rng);
   Tensor x = Tensor::randn({2, 6, 8}, rng);
 
-  attention.set_use_fused(true);
   Tensor fused = attention.forward(x);
-  Tensor composed = attention.forward_composed(x);
+  Tensor composed = reference::multi_head_attention(attention, x);
   ASSERT_EQ(fused.shape(), composed.shape());
   for (std::int64_t i = 0; i < fused.numel(); ++i) {
     EXPECT_NEAR(fused.at(i), composed.at(i), 1e-4F);
@@ -66,20 +66,18 @@ TEST(FusedAttention, GradCheckAllInputs) {
 
 TEST(FusedAttention, GradMatchesComposedPathGrad) {
   util::Rng rng(5);
-  nn::MultiHeadSelfAttention attention(8, 2, 0.0, rng, 7);
-  attention.set_training(false);
+  nn::MultiHeadSelfAttention attention(8, 2, rng);
   Tensor x1 = Tensor::randn({2, 5, 8}, rng);
   Tensor x2 = x1.clone();
   x1.set_requires_grad(true);
   x2.set_requires_grad(true);
 
-  attention.set_use_fused(true);
   attention.zero_grad();
   Tensor loss1 = sum(square(attention.forward(x1)));
   loss1.backward();
 
   attention.zero_grad();
-  Tensor loss2 = sum(square(attention.forward_composed(x2)));
+  Tensor loss2 = sum(square(reference::multi_head_attention(attention, x2)));
   loss2.backward();
 
   EXPECT_NEAR(loss1.item(), loss2.item(), 1e-3F);

@@ -1,18 +1,21 @@
 // The fused elementwise engine (src/tensor/eltwise/): every fused primitive
 // gradchecked against finite differences across all dispatchable kernels,
-// forced-scalar bit-identity against the composed reference ops, cross-kernel
-// closeness, NoGrad-vs-tape forward bit-identity, and the "NoGrad allocates
-// zero tape nodes" contract of detail::make_result.
+// forced-scalar bit-identity against the composed ops and the references in
+// tests/reference.hpp, cross-kernel closeness, NoGrad-vs-tape forward
+// bit-identity, and the "NoGrad allocates zero tape nodes" contract of
+// detail::make_result.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "gradcheck.hpp"
 #include "models/backbone.hpp"
 #include "quant/quant.hpp"
+#include "reference.hpp"
 #include "tensor/eltwise/eltwise.hpp"
 #include "tensor/grad_mode.hpp"
 #include "tensor/ops.hpp"
@@ -67,6 +70,9 @@ TEST(Eltwise, BiasAddGradcheckAllKernels) {
     Tensor x = Tensor::randn({2, 3, 5}, rng);
     Tensor bias = Tensor::randn({5}, rng);
     check_gradients([&] { return sum(eltwise::bias_add(x, bias)); }, {x, bias});
+    // A multi-dimensional tile (the positional [T, H] embedding's shape).
+    Tensor tile = Tensor::randn({3, 5}, rng);
+    check_gradients([&] { return sum(eltwise::bias_add(x, tile)); }, {x, tile});
   }
 }
 
@@ -105,26 +111,16 @@ TEST(Eltwise, ResidualLayerNormGradcheckAllKernels) {
   }
 }
 
-TEST(Eltwise, ScaleAddGradcheckAllKernels) {
-  for (const auto kernel : eltwise::available_kernels()) {
-    SCOPED_TRACE(eltwise::kernel_name(kernel));
-    const eltwise::ForceKernelGuard guard(kernel);
-    util::Rng rng(10);
-    Tensor x = Tensor::randn({3, 4, 5}, rng);
-    Tensor tile = Tensor::randn({4, 5}, rng);
-    check_gradients([&] { return sum(eltwise::scale_add(x, tile, 0.75F)); },
-                    {x, tile});
-  }
-}
-
 TEST(Eltwise, ShapeValidation) {
   util::Rng rng(11);
   Tensor x = Tensor::randn({3, 4}, rng);
   EXPECT_THROW(eltwise::bias_add(x, Tensor::randn({3}, rng)),
                std::invalid_argument);
+  EXPECT_THROW(eltwise::bias_add(x, Tensor::randn({4, 3}, rng)),
+               std::invalid_argument);  // not a suffix of [3, 4]
+  EXPECT_THROW(eltwise::bias_add(x, Tensor::randn({2, 3, 4}, rng)),
+               std::invalid_argument);  // longer than x's shape
   EXPECT_THROW(eltwise::bias_gelu(x, Tensor::randn({2, 4}, rng)),
-               std::invalid_argument);
-  EXPECT_THROW(eltwise::scale_add(x, Tensor::randn({3}, rng)),
                std::invalid_argument);
   EXPECT_THROW(
       eltwise::residual_layer_norm(x, Tensor::randn({4, 3}, rng),
@@ -137,7 +133,8 @@ TEST(Eltwise, ShapeValidation) {
 
 // The scalar kernel performs exactly the composed ops' per-element
 // arithmetic: forced-scalar fused results must be bit-identical to the
-// composed reference graph.
+// composed reference graph (saga::add, saga::gelu and
+// reference::layer_norm_lastdim).
 TEST(Eltwise, ForcedScalarMatchesComposedBitwise) {
   const eltwise::ForceKernelGuard guard(eltwise::Kernel::kScalar);
   util::Rng rng(12);
@@ -152,11 +149,12 @@ TEST(Eltwise, ForcedScalarMatchesComposedBitwise) {
   expect_bitwise_equal(eltwise::bias_gelu(x, bias), gelu(add(x, bias)),
                        "bias_gelu");
   expect_bitwise_equal(eltwise::residual_layer_norm(x, r, gamma, beta),
-                       layer_norm_lastdim(add(x, r), gamma, beta),
+                       reference::layer_norm_lastdim(add(x, r), gamma, beta),
                        "residual_layer_norm");
   expect_bitwise_equal(eltwise::residual_layer_norm(x, Tensor(), gamma, beta),
-                       layer_norm_lastdim(x, gamma, beta), "layer_norm");
-  expect_bitwise_equal(eltwise::scale_add(x, pos), add(x, pos), "scale_add");
+                       reference::layer_norm_lastdim(x, gamma, beta),
+                       "layer_norm");
+  expect_bitwise_equal(eltwise::bias_add(x, pos), add(x, pos), "bias_add tile");
 }
 
 // Forced-scalar fused backward must also reproduce the composed graph's
@@ -172,7 +170,7 @@ TEST(Eltwise, ForcedScalarGradsMatchComposedGrads) {
     Tensor beta = Tensor::randn({8}, local, 1.0F, true);
     Tensor h = fused ? eltwise::bias_gelu(x, bias) : gelu(add(x, bias));
     Tensor y = fused ? eltwise::residual_layer_norm(h, r, gamma, beta)
-                     : layer_norm_lastdim(add(h, r), gamma, beta);
+                     : reference::layer_norm_lastdim(add(h, r), gamma, beta);
     sum(y).backward();
     std::vector<std::vector<float>> grads;
     for (Tensor* t : {&x, &r, &bias, &gamma, &beta}) {
@@ -366,19 +364,16 @@ TEST(Eltwise, ViewInputsMatchPrecopiedContiguous) {
         eltwise::residual_layer_norm(x_view, r_view, gamma, beta),
         eltwise::residual_layer_norm(x_pre, r_pre, gamma, beta),
         "residual_layer_norm");
-    expect_bitwise_equal(eltwise::scale_add(x_view, bias_view, 0.5F),
-                         eltwise::scale_add(x_pre, bias_pre, 0.5F),
-                         "scale_add");
   }
 }
 
 // ---- fused bias(+gelu)+quantize epilogue (the int8 serve path) ------------
 
-// The add variant performs the same IEEE add/mul/round as the composed
-// bias_add-then-quantize_activations chain (no contractible FMA shape, and
-// cvtps/lrintf share round-to-nearest-even), so ALL kernels — not just
-// forced-scalar — must agree bit-for-bit, on ragged shapes, including the
-// zero-filled padding columns.
+// The add variant performs the same IEEE add/mul/clamp/round as the composed
+// bias_add-then-quantize chain (no contractible FMA shape, and cvtps/lrintf
+// share round-to-nearest-even), so ALL kernels — not just forced-scalar —
+// must agree bit-for-bit, on ragged shapes, including the zero-filled
+// padding columns.
 TEST(Eltwise, BiasActQuantAddVariantBitIdenticalAcrossKernels) {
   const std::vector<std::pair<std::int64_t, std::int64_t>> shapes{
       {1, 1}, {5, 13}, {8, 8}, {3, 144}, {13, 5}, {2, 72}, {7, 31}};
@@ -417,7 +412,7 @@ TEST(Eltwise, BiasActQuantAddVariantBitIdenticalAcrossKernels) {
 
 // Exactness against the two-pass composition it replaces: per kernel, the
 // fused sweep equals that SAME kernel's bias_gelu (or bias_add) followed by
-// quant::quantize_activations — integer codes, so EXPECT_EQ.
+// reference::quantize_activations — integer codes, so EXPECT_EQ.
 TEST(Eltwise, BiasActQuantMatchesTwoPassCompositionPerKernel) {
   const std::int64_t rows = 6;
   const std::int64_t d = 29;  // ragged: 3 full lanes + 5 tail
@@ -435,8 +430,8 @@ TEST(Eltwise, BiasActQuantMatchesTwoPassCompositionPerKernel) {
           gelu ? eltwise::bias_gelu(x, bias) : eltwise::bias_add(x, bias);
       std::vector<std::uint8_t> two_pass(
           static_cast<std::size_t>(rows * d));
-      quant::quantize_activations(staged.data().data(), rows * d, scale,
-                                  two_pass.data());
+      reference::quantize_activations(staged.data().data(), rows * d, scale,
+                                      two_pass.data());
 
       std::vector<std::uint8_t> fused(static_cast<std::size_t>(rows * stride));
       eltwise::bias_act_quantize(x.data().data(), bias.data().data(), rows, d,
@@ -454,7 +449,8 @@ TEST(Eltwise, BiasActQuantMatchesTwoPassCompositionPerKernel) {
 }
 
 // nullptr bias = the pure entry-quantize sweep; must equal
-// quantize_activations bitwise on every kernel (both encodings' constants).
+// reference::quantize_activations bitwise on every kernel (both encodings'
+// constants).
 TEST(Eltwise, BiasActQuantNullBiasEqualsQuantizeActivations) {
   const std::int64_t rows = 5;
   const std::int64_t d = 19;
@@ -466,8 +462,8 @@ TEST(Eltwise, BiasActQuantNullBiasEqualsQuantizeActivations) {
        {quant::ActEncoding::k7Bit, quant::ActEncoding::k8Bit}) {
     const float scale = quant::activation_scale(2.0F, encoding);
     std::vector<std::uint8_t> expected(x.size());
-    quant::quantize_activations(x.data(), rows * d, scale, expected.data(),
-                                encoding);
+    reference::quantize_activations(x.data(), rows * d, scale,
+                                    expected.data(), encoding);
     for (const auto kernel : eltwise::available_kernels()) {
       SCOPED_TRACE(eltwise::kernel_name(kernel));
       const eltwise::ForceKernelGuard guard(kernel);
@@ -476,6 +472,43 @@ TEST(Eltwise, BiasActQuantNullBiasEqualsQuantizeActivations) {
                                  scale, quant::act_zero(encoding),
                                  quant::act_max(encoding), out.data(), d);
       ASSERT_EQ(out, expected);
+    }
+  }
+}
+
+// Values past the code range saturate and NaN takes the zero point, with
+// the same code on every kernel and in every column — the AVX2 body's
+// 8-wide lanes and its scalar tail alike. Converting to int before clamping
+// would wrap 3e9 to -qmax, and send 1e30 and ±Inf to 0 on the scalar path
+// but to -qmax in the AVX2 body.
+TEST(Eltwise, BiasActQuantSaturatesOutOfRangeAndZeroesNaN) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<std::pair<float, int>> cases{
+      {3e9F, 1},   {1e12F, 1},  {1e20F, 1}, {1e30F, 1},
+      {kInf, 1},   {-3e9F, -1}, {-1e30F, -1}, {-kInf, -1},
+      {std::nanf(""), 0}};
+  const std::int64_t d = 11;  // columns 0-7: vector body; 8-10: tail
+  for (const auto encoding :
+       {quant::ActEncoding::k7Bit, quant::ActEncoding::k8Bit}) {
+    const std::int32_t qmax = quant::act_max(encoding);
+    const std::int32_t zero = quant::act_zero(encoding);
+    for (const auto kernel : eltwise::available_kernels()) {
+      SCOPED_TRACE(eltwise::kernel_name(kernel));
+      const eltwise::ForceKernelGuard guard(kernel);
+      for (const auto& [value, sign] : cases) {
+        for (const std::int64_t col : {0, 5, 8, 10}) {
+          std::vector<float> x(static_cast<std::size_t>(d), 0.5F);
+          x[static_cast<std::size_t>(col)] = value;
+          std::vector<std::uint8_t> out(x.size());
+          eltwise::bias_act_quantize(x.data(), nullptr, 1, d, /*gelu=*/false,
+                                     1.0F, zero, qmax, out.data(), d);
+          std::vector<std::uint8_t> expected(x.size(),
+                                             static_cast<std::uint8_t>(zero));
+          expected[static_cast<std::size_t>(col)] =
+              static_cast<std::uint8_t>(zero + sign * qmax);
+          ASSERT_EQ(out, expected) << "value " << value << " at column " << col;
+        }
+      }
     }
   }
 }

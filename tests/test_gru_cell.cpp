@@ -1,9 +1,9 @@
 // The fused GRU cell (eltwise::gru_cell + nn::GRUCell::step): gradcheck
 // against finite differences on every dispatchable kernel, forced-scalar
-// bit-identity against the composed gate chain (forward AND backward, cell
-// level and full multi-layer GRU / classifier level), cross-kernel rounding
-// agreement, strided-view gi consumption, and the NoGrad zero-tape-node /
-// zero-copy contract over the recurrent loop.
+// bit-identity against the composed gate chain of tests/reference.hpp
+// (forward AND backward, cell level and full multi-layer GRU / classifier
+// level), cross-kernel rounding agreement, strided-view gi consumption, and
+// the NoGrad zero-tape-node / zero-copy contract over the recurrent loop.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,6 +11,7 @@
 #include "gradcheck.hpp"
 #include "models/classifier.hpp"
 #include "nn/gru.hpp"
+#include "reference.hpp"
 #include "tensor/eltwise/eltwise.hpp"
 #include "tensor/grad_mode.hpp"
 #include "tensor/loss.hpp"
@@ -126,7 +127,8 @@ std::vector<std::vector<float>> step_trace(bool fused) {
   Tensor x = Tensor::randn({batch, input}, rng, 1.0F, true);
   Tensor h = Tensor::randn({batch, hidden}, rng, 1.0F, true);
   const Tensor gi = cell.precompute_inputs(x);
-  const Tensor out = fused ? cell.step(gi, h) : cell.step_composed(gi, h);
+  const Tensor out =
+      fused ? cell.step(gi, h) : reference::gru_step_composed(cell, gi, h);
   sum(square(out)).backward();
   std::vector<std::vector<float>> trace;
   trace.emplace_back(out.data().begin(), out.data().end());
@@ -187,56 +189,44 @@ TEST(GruCell, KernelsAgreeToRounding) {
 
 // Runs a full multi-layer GRU forward + backward; `composed` replicates
 // GRU::forward's exact loop (precompute, per-timestep select) but drives
-// step_composed instead of the fused step.
+// reference::gru_step_composed instead of the fused step.
 std::vector<std::vector<float>> gru_trace(bool fused) {
   util::Rng rng(6);
   const std::int64_t input = 4, hidden = 5, batch = 2, steps = 7;
   nn::GRU gru(input, hidden, 2, rng);
   Tensor x = Tensor::randn({batch, steps, input}, rng, 1.0F, true);
+  // GRU does not expose its cells, so the composed run rebuilds them from an
+  // identical rng stream (the GRU constructor consumes exactly the per-cell
+  // draws, in order) and mirrors GRU::forward's loop with the composed step.
+  util::Rng replica_rng(6);
+  const nn::GRUCell cell0(input, hidden, replica_rng);
+  const nn::GRUCell cell1(hidden, hidden, replica_rng);
   Tensor out;
+  std::vector<Tensor> params;
   if (fused) {
     out = gru.forward(x);
+    params = gru.parameters();
   } else {
-    // GRU does not expose its cells, so rebuild them from an identical rng
-    // stream (the GRU constructor consumes exactly the per-cell draws, in
-    // order) and mirror GRU::forward's loop with step_composed.
-    util::Rng rng3(6);
-    nn::GRUCell cell0(input, hidden, rng3);
-    nn::GRUCell cell1(hidden, hidden, rng3);
     Tensor layer_input = x;
-    Tensor h;
-    const nn::GRUCell* cells2[] = {&cell0, &cell1};
-    for (int l = 0; l < 2; ++l) {
-      const Tensor gi_flat = cells2[l]->precompute_inputs(
+    for (const nn::GRUCell* cell : {&cell0, &cell1}) {
+      const Tensor gi_flat = cell->precompute_inputs(
           reshape(layer_input, {batch * steps, layer_input.size(2)}));
       const Tensor gi_all = reshape(gi_flat, {batch, steps, 3 * hidden});
       std::vector<Tensor> outputs;
-      h = Tensor::zeros({batch, hidden});
+      out = Tensor::zeros({batch, hidden});
       for (std::int64_t t = 0; t < steps; ++t) {
-        h = cells2[l]->step_composed(select(gi_all, 1, t), h);
-        if (l == 0) outputs.push_back(reshape(h, {batch, 1, hidden}));
+        out = reference::gru_step_composed(*cell, select(gi_all, 1, t), out);
+        outputs.push_back(reshape(out, {batch, 1, hidden}));
       }
-      if (l == 0) layer_input = concat(outputs, 1);
+      layer_input = concat(outputs, 1);
+      for (const Tensor& p : cell->parameters()) params.push_back(p);
     }
-    out = h;
-    // Gradients must land in THIS function's x and the replica cells'
-    // parameters; collect from the replicas below via the shared trace path.
-    sum(square(out)).backward();
-    std::vector<std::vector<float>> trace;
-    trace.emplace_back(out.data().begin(), out.data().end());
-    trace.emplace_back(x.grad().begin(), x.grad().end());
-    for (const nn::GRUCell* c : cells2) {
-      for (Tensor p : c->parameters()) {
-        trace.emplace_back(p.grad().begin(), p.grad().end());
-      }
-    }
-    return trace;
   }
   sum(square(out)).backward();
   std::vector<std::vector<float>> trace;
   trace.emplace_back(out.data().begin(), out.data().end());
   trace.emplace_back(x.grad().begin(), x.grad().end());
-  for (Tensor p : gru.parameters()) {
+  for (Tensor p : params) {
     trace.emplace_back(p.grad().begin(), p.grad().end());
   }
   return trace;

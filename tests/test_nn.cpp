@@ -8,6 +8,9 @@
 #include "nn/linear.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/transformer.hpp"
+#include "quant/qlinear.hpp"
+#include "quant/quant.hpp"
+#include "tensor/grad_mode.hpp"
 #include "tensor/loss.hpp"
 #include "tensor/reduce.hpp"
 #include "tensor/ops.hpp"
@@ -25,6 +28,42 @@ TEST(Linear, ShapesAndBias) {
   EXPECT_EQ(layer.forward(x3).shape(), (Shape{2, 6, 3}));
   EXPECT_THROW(layer.forward(Tensor::zeros({5, 5})), std::invalid_argument);
   EXPECT_THROW(layer.forward(Tensor::zeros({5})), std::invalid_argument);
+}
+
+// The feature count is checked before the 3-D flatten, by forward and by
+// forward_chain, fp32 and on the fused int8 chain: a [2, 3, 6] input must
+// not run as [9, 4] rows, nor a [2, 3, 5] one fail inside reshape.
+TEST(Linear, RejectsWrongFeatureCountBeforeFlattening) {
+  util::Rng rng(3);
+  Linear first(4, 8, rng);
+  Linear second(8, 2, rng);
+  const auto check = [&] {
+    for (const Shape& shape : {Shape{2, 3, 6}, Shape{2, 3, 5}, Shape{5, 6}}) {
+      const Tensor x = Tensor::zeros(shape);
+      for (const bool chain : {false, true}) {
+        try {
+          (void)(chain ? first.forward_chain(x, Activation::kGelu, second)
+                       : first.forward(x));
+          ADD_FAILURE() << "no throw, chain=" << chain;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_EQ(std::string(e.what()), "Linear: expected 4 features, got " +
+                                               std::to_string(shape.back()));
+        }
+      }
+    }
+  };
+  check();
+  // Both layers int8 with gradients off: forward_chain takes the fused path.
+  for (Linear* layer : {&first, &second}) {
+    quant::QuantBlob blob = quant::quantize_weights(
+        layer->weight().data().data(), layer->in_features(),
+        layer->out_features());
+    blob.act_scale = quant::activation_scale(1.0F);
+    layer->set_quantized(
+        std::make_shared<const quant::LinearQuant>(quant::prepare(blob)));
+  }
+  NoGradGuard no_grad;
+  check();
 }
 
 TEST(Linear, NoBiasVariant) {

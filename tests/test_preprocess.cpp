@@ -72,6 +72,8 @@ TEST(Downsample, ValidatesArguments) {
   Recording bad = r;
   bad.sample_rate_hz = -1.0;
   EXPECT_THROW(downsample(bad, 20.0), std::invalid_argument);
+  bad.sample_rate_hz = std::nan("");
+  EXPECT_THROW(downsample(bad, 20.0), std::invalid_argument);
 }
 
 TEST(NormalizeAccelerometer, DividesByG) {
@@ -168,6 +170,12 @@ TEST(DecimationFactor, RoundsAndClamps) {
   EXPECT_EQ(decimation_factor(10.0, 20.0), 1);   // below target: clamp to 1
   EXPECT_THROW(decimation_factor(0.0, 20.0), std::invalid_argument);
   EXPECT_THROW(decimation_factor(100.0, -1.0), std::invalid_argument);
+  // Non-finite rates are rejected, not turned into factor 1.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(decimation_factor(std::nan(""), 20.0), std::invalid_argument);
+  EXPECT_THROW(decimation_factor(100.0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(decimation_factor(kInf, 20.0), std::invalid_argument);
+  EXPECT_THROW(decimation_factor(100.0, kInf), std::invalid_argument);
 }
 
 TEST(PreprocessWindow, MatchesDownsampleThenNormalize) {
@@ -374,9 +382,14 @@ TEST(PreprocessWindow, AccelerometerErrorsKeepTheirMessages) {
     }
     return std::string("no throw");
   };
+  const std::string bad_g =
+      "normalize_accelerometer: g must be positive and finite";
   EXPECT_EQ(message(2, 9.80665), "normalize_accelerometer: acc_axes > channels");
-  EXPECT_EQ(message(4, 0.0), "normalize_accelerometer: g > 0");
-  EXPECT_EQ(message(2, -1.0), "normalize_accelerometer: g > 0");  // g first
+  EXPECT_EQ(message(4, 0.0), bad_g);
+  EXPECT_EQ(message(2, -1.0), bad_g);  // g first
+  // NaN would make every accelerometer value NaN, +Inf would zero them.
+  EXPECT_EQ(message(4, std::nan("")), bad_g);
+  EXPECT_EQ(message(4, std::numeric_limits<double>::infinity()), bad_g);
 }
 
 TEST(IngestRecording, RejectsChannelMismatch) {

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "quant/qlinear.hpp"
 #include "quant/quant.hpp"
 #include "quant/quantize.hpp"
+#include "reference.hpp"
 #include "serve/artifact.hpp"
 #include "serve/engine.hpp"
 #include "tensor/eltwise/eltwise.hpp"
@@ -51,6 +53,18 @@ float absmax_of(const std::vector<float>& values) {
   float m = 0.0F;
   for (const float v : values) m = std::max(m, std::abs(v));
   return m;
+}
+
+// Activation codes from the production quantizer: the fused epilogue's
+// no-bias sweep, as the int8 layers' entry quantization runs it.
+std::vector<std::uint8_t> quantize(const std::vector<float>& x, float scale,
+                                   ActEncoding encoding = ActEncoding::k7Bit) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  std::vector<std::uint8_t> q(x.size());
+  eltwise::bias_act_quantize(x.data(), nullptr, 1, n, /*gelu=*/false, scale,
+                             act_zero(encoding), act_max(encoding), q.data(),
+                             n);
+  return q;
 }
 
 // ---- weight quantization --------------------------------------------------
@@ -128,28 +142,24 @@ TEST(QuantWeights, RejectsNonFiniteInput) {
 TEST(QuantActivations, RoundTripWithinHalfScale) {
   const auto x = random_matrix(257, -3.0F, 3.0F, 5);
   const float scale = activation_scale(absmax_of(x));
-  std::vector<std::uint8_t> q(x.size());
-  quantize_activations(x.data(), static_cast<std::int64_t>(x.size()), scale,
-                       q.data());
+  const std::vector<std::uint8_t> q = quantize(x, scale);
   for (const std::uint8_t v : q) {
     EXPECT_GE(v, kActZero - kActMax);
     EXPECT_LE(v, kActZero + kActMax);
   }
   std::vector<float> back(x.size());
-  dequantize_activations(q.data(), static_cast<std::int64_t>(x.size()), scale,
-                         back.data());
+  reference::dequantize_activations(
+      q.data(), static_cast<std::int64_t>(x.size()), scale, back.data());
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_LE(std::abs(back[i] - x[i]), scale * 0.5F + 1e-6F);
   }
 }
 
 TEST(QuantActivations, ZeroMapsToOffsetExactly) {
-  const float x = 0.0F;
-  std::uint8_t q = 0;
-  quantize_activations(&x, 1, activation_scale(2.0F), &q);
+  const std::uint8_t q = quantize({0.0F}, activation_scale(2.0F))[0];
   EXPECT_EQ(q, kActZero);
   float back = 1.0F;
-  dequantize_activations(&q, 1, activation_scale(2.0F), &back);
+  reference::dequantize_activations(&q, 1, activation_scale(2.0F), &back);
   EXPECT_EQ(back, 0.0F);
   EXPECT_EQ(activation_scale(0.0F), 1.0F);
 }
@@ -160,23 +170,19 @@ TEST(QuantActivations, EightBitEncodingRoundTripsWithHalvedStep) {
   const float scale7 = activation_scale(absmax, ActEncoding::k7Bit);
   const float scale8 = activation_scale(absmax, ActEncoding::k8Bit);
   EXPECT_LT(scale8, scale7);  // 127 levels vs 63: finer step, same absmax
-  std::vector<std::uint8_t> q(x.size());
-  quantize_activations(x.data(), static_cast<std::int64_t>(x.size()), scale8,
-                       q.data(), ActEncoding::k8Bit);
+  const std::vector<std::uint8_t> q = quantize(x, scale8, ActEncoding::k8Bit);
   for (const std::uint8_t v : q) {
     EXPECT_GE(v, kActZero8 - kActMax8);  // codes live in [1, 255]
   }
   std::vector<float> back(x.size());
-  dequantize_activations(q.data(), static_cast<std::int64_t>(x.size()), scale8,
-                         back.data(), ActEncoding::k8Bit);
+  reference::dequantize_activations(q.data(),
+                                    static_cast<std::int64_t>(x.size()),
+                                    scale8, back.data(), ActEncoding::k8Bit);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_LE(std::abs(back[i] - x[i]), scale8 * 0.5F + 1e-6F);
   }
 
-  const float zero = 0.0F;
-  std::uint8_t qz = 0;
-  quantize_activations(&zero, 1, scale8, &qz, ActEncoding::k8Bit);
-  EXPECT_EQ(qz, kActZero8);
+  EXPECT_EQ(quantize({0.0F}, scale8, ActEncoding::k8Bit)[0], kActZero8);
 }
 
 TEST(QuantActivations, PreferredEncodingFollowsDispatchedKernel) {
@@ -387,7 +393,8 @@ TEST(QLinear, ForwardMatchesExactIntegerReference) {
   // Quantize with the encoding prepare() actually selected (8-bit on VNNI
   // hosts, 7-bit otherwise) so the reference matches either dispatch.
   std::vector<std::uint8_t> xq(static_cast<std::size_t>(m * in));
-  quantize_activations(x.data(), m * in, q.act_scale, xq.data(), q.encoding);
+  reference::quantize_activations(x.data(), m * in, q.act_scale, xq.data(),
+                                  q.encoding);
   const auto ys = y.data();
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < out; ++j) {
@@ -841,6 +848,39 @@ TEST_F(QuantArtifactTest, AllServePathKernelsAgreeExactlyPerEncoding) {
     for (std::size_t i = 0; i < ref.data().size(); ++i) {
       EXPECT_EQ(y.data()[i], ref.data()[i])
           << "logit " << i << ": " << name << " vs " << ref_name;
+    }
+  }
+}
+
+// Batch isolation: a hostile window (NaN, ±Inf, 1e30) must not change its
+// batch-mate's logits by a single bit, on the fp32 and the int8 artifact.
+// Both sides run B=2, so every GEMM path choice (which depends on the row
+// count) is the same and only the poisoned window's values differ.
+TEST_F(QuantArtifactTest, PoisonedWindowLeavesBatchMateBitIdentical) {
+  const auto windows = calibration_windows(2);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const serve::Artifact& artifact : {fp32_artifact(), int8_artifact()}) {
+    SCOPED_TRACE(precision_name(artifact.precision));
+    auto backbone = artifact.make_backbone();
+    auto classifier = artifact.make_classifier();
+    const auto logits_with_mate = [&](const std::vector<float>& mate) {
+      std::vector<float> batch = windows[0];
+      batch.insert(batch.end(), mate.begin(), mate.end());
+      NoGradGuard no_grad;
+      return classifier.forward(backbone.encode(Tensor::from_data(
+          {2, artifact.window_length(), artifact.channels()},
+          std::move(batch))));
+    };
+    const Tensor clean = logits_with_mate(windows[1]);
+    for (const float poison : {std::nanf(""), kInf, -kInf, 1e30F}) {
+      SCOPED_TRACE(poison);
+      const Tensor mixed =
+          logits_with_mate(std::vector<float>(windows[1].size(), poison));
+      for (std::int64_t c = 0; c < artifact.num_classes(); ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(mixed.at(c)),
+                  std::bit_cast<std::uint32_t>(clean.at(c)))
+            << "logit " << c;
+      }
     }
   }
 }

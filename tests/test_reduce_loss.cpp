@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "gradcheck.hpp"
+#include "tensor/eltwise/eltwise.hpp"
 #include "tensor/loss.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/reduce.hpp"
@@ -49,7 +50,7 @@ TEST(Reduce, LayerNormNormalizesRows) {
   Tensor x = Tensor::randn({4, 8}, rng, 3.0F);
   Tensor gamma = Tensor::ones({8});
   Tensor beta = Tensor::zeros({8});
-  Tensor y = layer_norm_lastdim(x, gamma, beta);
+  Tensor y = eltwise::residual_layer_norm(x, Tensor(), gamma, beta);
   for (std::int64_t r = 0; r < 4; ++r) {
     double mu = 0.0;
     double var = 0.0;
@@ -103,7 +104,10 @@ TEST(ReduceGrad, LayerNormAllInputs) {
   Tensor beta = Tensor::randn({5}, rng);
   Tensor w = Tensor::randn({3, 5}, rng);
   saga::testing::check_gradients(
-      [&]() { return sum(mul(layer_norm_lastdim(x, gamma, beta), w)); },
+      [&]() {
+        return sum(mul(eltwise::residual_layer_norm(x, Tensor(), gamma, beta),
+                       w));
+      },
       {x, gamma, beta});
 }
 

@@ -560,7 +560,11 @@ TEST(LoadReportQuantiles, SummaryIncludesTailQuantile) {
 
 TEST_F(ServeTest, LoadGeneratorCountsEveryRequest) {
   Engine engine(artifact(), {.max_batch_size = 4});
-  const LoadReport report = run_load(engine, 3, 5, /*seed=*/42);
+  LoadOptions load;
+  load.clients = 3;
+  load.per_client = 5;
+  load.seed = 42;
+  const LoadReport report = run_load(engine, load);
   EXPECT_EQ(report.latencies_ms.size(), 15U);
   EXPECT_TRUE(std::is_sorted(report.latencies_ms.begin(),
                              report.latencies_ms.end()));

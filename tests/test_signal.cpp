@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "reference.hpp"
 #include "signal/fft.hpp"
 #include "signal/keypoints.hpp"
 #include "signal/period.hpp"
@@ -24,7 +25,7 @@ TEST(Fft, MatchesNaiveDft) {
     x[i] = std::sin(0.3 * double(i)) + 0.5 * std::cos(1.1 * double(i));
   }
   const auto fast = rfft(x);
-  const auto slow = naive_dft(x);
+  const auto slow = reference::naive_dft(x);
   ASSERT_EQ(fast.size(), slow.size());
   for (std::size_t k = 0; k < fast.size(); ++k) {
     EXPECT_NEAR(fast[k].real(), slow[k].real(), 1e-8) << "bin " << k;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -310,6 +311,24 @@ TEST(Session, ValidatesConfig) {
   config = small_config();
   config.gap_tolerance = 0.0;
   EXPECT_THROW(Session("u", config), std::invalid_argument);
+  // Non-finite values would make every sample a gap (no window ever seals)
+  // or silently give decimation factor 1.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf}) {
+    config = small_config();
+    config.gap_tolerance = bad;
+    EXPECT_THROW(Session("u", config), std::invalid_argument);
+    config = small_config();
+    config.source_rate_hz = bad;
+    EXPECT_THROW(Session("u", config), std::invalid_argument);
+    config = small_config();
+    config.target_hz = bad;
+    EXPECT_THROW(Session("u", config), std::invalid_argument);
+  }
+  // A gap limit past the int64 microsecond clock.
+  config = small_config();
+  config.gap_tolerance = 1e300;
+  EXPECT_THROW(Session("u", config), std::invalid_argument);
   config = small_config();
   config.ring_capacity = 16;  // < one raw window of 40
   EXPECT_THROW(Session("u", config), std::invalid_argument);
@@ -555,6 +574,8 @@ TEST(Composer, FsmRestartsWhenSequenceHeadReappears) {
 TEST(Composer, ValidatesConfig) {
   ComposerConfig config;
   config.min_margin = 1.5;
+  EXPECT_THROW(Composer{config}, std::invalid_argument);
+  config.min_margin = std::nan("");
   EXPECT_THROW(Composer{config}, std::invalid_argument);
   config = ComposerConfig{};
   config.hysteresis = 0;
