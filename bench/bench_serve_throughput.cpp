@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "serve/loadgen.hpp"
+#include "harness/loadgen.hpp"
 
 using namespace saga;
 

@@ -19,7 +19,7 @@
 #include <cstdio>
 
 #include "core/saga.hpp"
-#include "serve/loadgen.hpp"
+#include "harness/loadgen.hpp"
 #include "util/env.hpp"
 
 using namespace saga;

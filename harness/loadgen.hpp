@@ -1,8 +1,10 @@
 // Load generation for the serve layer: N client threads drive an Engine or
 // a Router through the async submit() API and the per-request latencies come
 // back as one sorted sample for percentile reporting. Used by
-// examples/serve_throughput and bench/bench_serve_throughput so the two
-// report on exactly the same workload.
+// examples/serve_throughput, bench/bench_serve_throughput and
+// tests/test_serve so they report on exactly the same workload. It is a
+// harness, not part of the saga library: production never generates its own
+// load, so it lives in the saga_harness target that those binaries link.
 //
 // Three arrival disciplines:
 //   closed-loop (offered_rps == 0)  each client issues its next request the
@@ -31,10 +33,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "serve/engine.hpp"
+#include "serve/metrics.hpp"
 #include "serve/router.hpp"
 
 namespace saga::serve {
@@ -72,32 +73,6 @@ struct LoadOptions {
   double burst_peak = 3.0;
   /// Priority/deadline applied to every generated request.
   RequestOptions request;
-};
-
-struct LoadReport {
-  std::vector<double> latencies_ms;  // one entry per completed request, sorted
-  /// The same per-request latencies bucketed into the standard log-scale
-  /// layout (Histogram::latency_ms), so a client-side distribution can sit
-  /// next to the engine-side EngineStats histograms in one export.
-  Histogram latency_hist = Histogram::latency_ms();
-  double wall_seconds = 0.0;
-  std::uint64_t rejected = 0;  // submissions refused by the bounded queue
-  std::uint64_t errors = 0;    // requests that failed engine-side (rethrown
-                               // from get()); counted, not fatal
-  double offered_rps = 0.0;    // echo of the option (0 for closed-loop)
-
-  double requests_per_second() const noexcept {
-    return wall_seconds <= 0.0
-               ? 0.0
-               : static_cast<double>(latencies_ms.size()) / wall_seconds;
-  }
-  /// Latency at quantile `q` in [0, 1] (0 when no requests ran).
-  double percentile_ms(double q) const noexcept;
-  /// One line of the standard percentiles:
-  /// "p50 a  p95 b  p99 c  p99.9 d  max e ms". The p99.9 entry is what makes
-  /// tail regressions visible at loadgen sample sizes (a p99 over a few
-  /// thousand requests hides the last handful of stragglers).
-  std::string latency_summary() const;
 };
 
 /// Runs `options.clients` threads x `options.per_client` requests against

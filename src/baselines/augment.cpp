@@ -9,19 +9,6 @@
 
 namespace saga::baselines {
 
-std::string augmentation_name(Augmentation augmentation) {
-  switch (augmentation) {
-    case Augmentation::kIdentity: return "identity";
-    case Augmentation::kRotation: return "rotation";
-    case Augmentation::kScaling: return "scaling";
-    case Augmentation::kJitter: return "jitter";
-    case Augmentation::kTimeReversal: return "time_reversal";
-    case Augmentation::kTimeShift: return "time_shift";
-    case Augmentation::kAxisPermutation: return "axis_permutation";
-  }
-  return "?";
-}
-
 namespace {
 
 using Mat3 = std::array<std::array<double, 3>, 3>;
@@ -137,12 +124,6 @@ Tensor transform_batch(const Tensor& inputs,
 }
 
 }  // namespace
-
-Tensor apply_augmentation(const Tensor& inputs, Augmentation augmentation,
-                          std::uint64_t seed) {
-  return transform_batch(inputs, [augmentation](std::size_t) { return augmentation; },
-                         seed);
-}
 
 Tensor random_view(const Tensor& inputs, std::uint64_t seed) {
   const std::int64_t batch = inputs.size(0);

@@ -31,20 +31,14 @@ enum class Augmentation : std::int32_t {
 
 inline constexpr std::int32_t kNumAugmentations = 7;
 
-std::string augmentation_name(Augmentation augmentation);
-
-/// Applies `augmentation` to every window of a [B, T, C] batch; each sample
-/// uses an independent seed stream. Channels are treated as consecutive
-/// 3-axis sensor triads (C must be a multiple of 3).
-Tensor apply_augmentation(const Tensor& inputs, Augmentation augmentation,
-                          std::uint64_t seed);
-
 /// Applies an independently chosen random augmentation (never identity) per
 /// sample — the "view" generator for contrastive pre-training.
 Tensor random_view(const Tensor& inputs, std::uint64_t seed);
 
 /// Applies per-sample augmentations given explicitly (used by TPN, whose
-/// pre-training task is to classify which transform was applied).
+/// pre-training task is to classify which transform was applied); each
+/// sample uses an independent seed stream. Channels are treated as
+/// consecutive 3-axis sensor triads (C must be a multiple of 3).
 Tensor apply_per_sample(const Tensor& inputs,
                         const std::vector<std::int32_t>& augmentation_ids,
                         std::uint64_t seed);

@@ -149,17 +149,6 @@ GaussianProcess::Prediction GaussianProcess::predict(
   return {mean, std::sqrt(variance)};
 }
 
-double GaussianProcess::log_marginal_likelihood() const {
-  if (!fitted()) throw std::logic_error("gp: not fitted");
-  const std::size_t n = inputs_.size();
-  double fit_term = 0.0;
-  for (std::size_t i = 0; i < n; ++i) fit_term += centered_targets_[i] * alpha_[i];
-  double log_det = 0.0;
-  for (std::size_t i = 0; i < n; ++i) log_det += std::log(cholesky_[i * n + i]);
-  return -0.5 * fit_term - log_det -
-         0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
-}
-
 double expected_improvement(double mean, double stddev, double best) {
   const double delta = mean - best;
   if (stddev <= 1e-12) return std::max(delta, 0.0);

@@ -43,9 +43,6 @@ class GaussianProcess {
   /// Posterior mean/stddev at a query point.
   Prediction predict(const std::vector<double>& x) const;
 
-  /// Log marginal likelihood of the fitted data (model-selection diagnostic).
-  double log_marginal_likelihood() const;
-
  private:
   double kernel(const std::vector<double>& a, const std::vector<double>& b) const;
 

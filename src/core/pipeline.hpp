@@ -139,8 +139,6 @@ class Pipeline {
   const data::Dataset& dataset() const noexcept { return *dataset_; }
   data::Task task() const noexcept { return task_; }
 
-  /// True once run()/run_per_class() has trained at least one model pair.
-  bool has_trained() const noexcept { return trained_.has_value(); }
   /// The models trained by the most recent run (the final full-budget cycle
   /// for Saga/LWS); throws std::runtime_error before the first run.
   const TrainedModels& trained() const;

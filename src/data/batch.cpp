@@ -57,9 +57,4 @@ bool BatchIterator::next(Batch& out) {
   return true;
 }
 
-std::int64_t BatchIterator::batches_per_epoch() const noexcept {
-  const auto n = static_cast<std::int64_t>(indices_.size());
-  return (n + batch_size_ - 1) / batch_size_;
-}
-
 }  // namespace saga::data

@@ -37,8 +37,6 @@ class BatchIterator {
   /// Returns false when the epoch is exhausted.
   bool next(Batch& out);
 
-  std::int64_t batches_per_epoch() const noexcept;
-
  private:
   const Dataset* dataset_;
   std::vector<std::int64_t> indices_;

@@ -148,12 +148,17 @@ std::vector<IMUWindow> slice_windows(const Recording& recording,
 }
 
 std::int64_t decimation_factor(double sample_rate_hz, double target_hz) {
-  if (!positive_finite(target_hz) || !positive_finite(sample_rate_hz)) {
+  // llround of a ratio at or past 2^63 has no int64 result, so that ratio is
+  // rejected before converting. One throw site keeps this small enough to
+  // inline into preprocess_window, which calls it per window.
+  const double ratio = sample_rate_hz / target_hz;
+  if (!positive_finite(target_hz) || !positive_finite(sample_rate_hz) ||
+      !(ratio < 0x1p63)) {
     throw std::invalid_argument(
-        "decimation_factor: rates must be positive and finite");
+        "decimation_factor: rates must be positive and finite, and "
+        "rate / target below 2^63");
   }
-  const auto factor =
-      static_cast<std::int64_t>(std::llround(sample_rate_hz / target_hz));
+  const auto factor = static_cast<std::int64_t>(std::llround(ratio));
   return factor < 1 ? 1 : factor;
 }
 

@@ -58,10 +58,11 @@ void normalize_magnetometer(Recording& recording, std::int64_t mag_offset = 6);
 
 /// Block-averaging decimation factor from `sample_rate_hz` down to
 /// `target_hz`: round(rate / target), clamped to >= 1 (a source already at
-/// or below the target passes through unchanged). Throws on non-positive
-/// rates. The streaming path sizes its raw windows as
-/// model_window * decimation_factor so that one raw window downsamples to
-/// exactly one model window.
+/// or below the target passes through unchanged). Throws
+/// std::invalid_argument on non-positive or non-finite rates and on a ratio
+/// of 2^63 or more, whose rounding has no int64 value. The streaming path
+/// sizes its raw windows as model_window * decimation_factor so that one raw
+/// window downsamples to exactly one model window.
 std::int64_t decimation_factor(double sample_rate_hz, double target_hz);
 
 /// The shared per-window preprocessing entry point: one raw source-rate

@@ -87,7 +87,7 @@ struct QueueFullError : std::runtime_error {
 /// exceeds the deadline, so running it would only waste a batch slot on a
 /// result the caller has contracted to consider late. Derives from
 /// QueueFullError so shed-load handling (Router's walk-the-shards retry,
-/// loadgen rejected-counting) applies unchanged — it is backpressure, just
+/// the load generator's rejected-counting) applies unchanged — it is backpressure, just
 /// detected per-deadline instead of per-queue-bound.
 struct HopelessDeadlineError : QueueFullError {
   using QueueFullError::QueueFullError;

@@ -131,4 +131,20 @@ std::string Histogram::format(const std::string& label,
   return out;
 }
 
+double LoadReport::percentile_ms(double q) const noexcept {
+  if (latencies_ms.empty()) return 0.0;
+  const auto index = static_cast<std::size_t>(
+      q * static_cast<double>(latencies_ms.size()));
+  return latencies_ms[std::min(index, latencies_ms.size() - 1)];
+}
+
+std::string LoadReport::latency_summary() const {
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "p50 %.2f  p95 %.2f  p99 %.2f  p99.9 %.2f  max %.2f ms",
+                percentile_ms(0.50), percentile_ms(0.95), percentile_ms(0.99),
+                percentile_ms(0.999), percentile_ms(1.0));
+  return line;
+}
+
 }  // namespace saga::serve

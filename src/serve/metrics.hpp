@@ -1,8 +1,8 @@
 // serve::Histogram — fixed-bucket log-scale histograms for serving
 // observability: batch latency, batch size and queue depth distributions
-// (EngineStats), and per-request latency (LoadReport). Counters and EWMAs
-// answer "how much / how fast on average"; SLO work needs the shape of the
-// tail, which only a distribution carries.
+// (EngineStats), and per-request latency (LoadReport, below). Counters and
+// EWMAs answer "how much / how fast on average"; SLO work needs the shape
+// of the tail, which only a distribution carries.
 //
 // The bucket layout is FIXED at construction (a lower edge, a growth
 // factor, a bucket count) and identical layouts merge element-wise — that
@@ -94,6 +94,35 @@ class Histogram {
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double max_ = 0.0;
+};
+
+/// A run's per-request latency sample, sorted, with its throughput and
+/// failure counts: what the harness's load generator returns and what
+/// stream::ReplayReport carries for its event latencies.
+struct LoadReport {
+  std::vector<double> latencies_ms;  // one entry per completed request, sorted
+  /// The same per-request latencies bucketed into the standard log-scale
+  /// layout (Histogram::latency_ms), so a client-side distribution can sit
+  /// next to the engine-side EngineStats histograms in one export.
+  Histogram latency_hist = Histogram::latency_ms();
+  double wall_seconds = 0.0;
+  std::uint64_t rejected = 0;  // submissions refused by the bounded queue
+  std::uint64_t errors = 0;    // requests that failed engine-side (rethrown
+                               // from get()); counted, not fatal
+  double offered_rps = 0.0;    // echo of the option (0 for closed-loop)
+
+  double requests_per_second() const noexcept {
+    return wall_seconds <= 0.0
+               ? 0.0
+               : static_cast<double>(latencies_ms.size()) / wall_seconds;
+  }
+  /// Latency at quantile `q` in [0, 1] (0 when no requests ran).
+  double percentile_ms(double q) const noexcept;
+  /// One line of the standard percentiles:
+  /// "p50 a  p95 b  p99 c  p99.9 d  max e ms". The p99.9 entry is what makes
+  /// tail regressions visible at load-test sample sizes (a p99 over a few
+  /// thousand requests hides the last handful of stragglers).
+  std::string latency_summary() const;
 };
 
 }  // namespace saga::serve

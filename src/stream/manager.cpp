@@ -8,6 +8,14 @@
 
 namespace saga::stream {
 
+namespace {
+
+// Pump sleep between passes when nothing moved, and the poll period of
+// finish() and drain().
+constexpr std::chrono::microseconds kPumpInterval{500};
+
+}  // namespace
+
 SessionManager::SessionManager(serve::Engine& engine, StreamConfig config)
     : SessionManager(
           SubmitFn([&engine](std::span<const float> window,
@@ -29,10 +37,6 @@ SessionManager::SessionManager(SubmitFn submit, StreamConfig config)
   if (config_.max_pending_windows == 0) {
     throw std::invalid_argument(
         "SessionManager: max_pending_windows must be positive");
-  }
-  if (config_.pump_interval_us <= 0) {
-    throw std::invalid_argument(
-        "SessionManager: pump_interval_us must be positive");
   }
   // Fail on a bad session/composer config here, at construction, instead of
   // on the first open(): both types validate in their constructors.
@@ -116,8 +120,7 @@ void SessionManager::finish(const std::string& id) {
       return;
     }
     lock.unlock();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config_.pump_interval_us));
+    std::this_thread::sleep_for(kPumpInterval);
   }
 }
 
@@ -157,8 +160,7 @@ bool SessionManager::drain(std::chrono::milliseconds timeout) {
       std::lock_guard<std::mutex> lock(mutex_);
       return drained_locked();
     }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config_.pump_interval_us));
+    std::this_thread::sleep_for(kPumpInterval);
   }
 }
 
@@ -168,10 +170,7 @@ void SessionManager::pump_loop() {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) return;
     }
-    if (!pump_once()) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.pump_interval_us));
-    }
+    if (!pump_once()) std::this_thread::sleep_for(kPumpInterval);
   }
 }
 
@@ -214,9 +213,9 @@ void SessionManager::pump_session(SessionState& state) {
     const std::vector<float> window = data::preprocess_window(
         front.raw, kStreamChannels, session_config.source_rate_hz,
         session_config.target_hz, config_.g);
-    serve::RequestOptions options;
-    options.priority = config_.priority;
-    options.deadline = config_.deadline;
+    const serve::RequestOptions options{
+        .priority = serve::Priority::kInteractive,
+        .deadline = config_.deadline};
     InFlight in_flight;
     in_flight.seq = front.seq;
     in_flight.start_ts_us = front.start_ts_us;

@@ -52,15 +52,12 @@ struct StreamConfig {
   /// Sealed windows a session may hold while waiting for serve capacity;
   /// beyond it the OLDEST window is dropped and counted (never blocks).
   std::size_t max_pending_windows = 8;
-  /// Per-window serve deadline (0 = none) and priority. Streams are the
-  /// interactive traffic class: a window's result is only useful while its
-  /// motion is still recent.
+  /// Per-window serve deadline (0 = none). Windows are submitted as
+  /// kInteractive: a window's result is only useful while its motion is
+  /// still recent.
   std::chrono::microseconds deadline{50000};
-  serve::Priority priority = serve::Priority::kInteractive;
   /// Stage-B composition over the per-window label stream.
   ComposerConfig composer;
-  /// Pump sleep between passes when nothing is in flight.
-  std::int64_t pump_interval_us = 500;
 };
 
 /// Aggregated manager counters (a consistent snapshot via stats()).

@@ -188,7 +188,7 @@ ReplayReport replay(SessionManager& manager,
     for (std::thread& producer : producers) producer.join();
   }
 
-  report.drained = manager.drain(options.drain_timeout);
+  report.drained = manager.drain(kReplayDrainTimeout);
   for (const ReplayTrace& trace : traces) manager.finish(trace.session);
   report.latency.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - origin)
@@ -221,15 +221,6 @@ ReplayReport replay(SessionManager& manager,
   report.manager = manager.stats();
   report.latency.rejected = report.manager.windows_dropped;
   return report;
-}
-
-ReplayReport replay_csv(SessionManager& manager,
-                        const std::vector<std::string>& paths,
-                        const ReplayOptions& options) {
-  std::vector<ReplayTrace> traces;
-  traces.reserve(paths.size());
-  for (const std::string& path : paths) traces.push_back(load_csv(path));
-  return replay(manager, traces, options);
 }
 
 }  // namespace saga::stream

@@ -25,7 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "serve/loadgen.hpp"
+#include "serve/metrics.hpp"
 #include "stream/manager.hpp"
 #include "stream/session.hpp"
 
@@ -41,16 +41,17 @@ struct ReplayOptions {
   /// Replay speed multiplier: 1 = real time, 4 = 4x accelerated, 0 = as
   /// fast as the producer threads can push (no sleeping).
   double speed = 1.0;
-  /// How long to wait after the producers finish for the pipeline to drain
-  /// (seal -> serve -> compose) before flushing the composers.
-  std::chrono::milliseconds drain_timeout{10000};
 };
+
+/// How long replay() waits after the producers finish for the pipeline to
+/// drain (seal -> serve -> compose) before flushing the composers.
+inline constexpr std::chrono::milliseconds kReplayDrainTimeout{10000};
 
 struct ReplayReport {
   std::uint64_t sessions = 0;
   std::uint64_t samples_replayed = 0;  ///< pushed into rings (incl. rejected)
   /// True when every window drained through the pipeline inside
-  /// ReplayOptions::drain_timeout.
+  /// kReplayDrainTimeout.
   bool drained = false;
   /// Manager counters at the end of the replay (drops, gaps, events, ...).
   ManagerStats manager;
@@ -88,11 +89,5 @@ ReplayTrace synthetic_trace(const std::string& session, std::uint64_t seed,
 ReplayReport replay(SessionManager& manager,
                     const std::vector<ReplayTrace>& traces,
                     const ReplayOptions& options = {});
-
-/// load_csv over each path, then replay. The paper's "follow a user" entry
-/// point: each CSV is one user's capture.
-ReplayReport replay_csv(SessionManager& manager,
-                        const std::vector<std::string>& paths,
-                        const ReplayOptions& options = {});
 
 }  // namespace saga::stream

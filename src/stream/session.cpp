@@ -26,6 +26,17 @@ SessionConfig checked(const SessionConfig& config) {
   return config;
 }
 
+// a * b for the positive sizes below; a product past int64 fails the range
+// check instead of overflowing.
+std::int64_t checked_product(std::int64_t a, std::int64_t b, const char* what) {
+  if (a > std::numeric_limits<std::int64_t>::max() / b) {
+    throw std::invalid_argument(std::string("Session: ") + what +
+                                " overflows int64 (window_length or rate too "
+                                "large)");
+  }
+  return a * b;
+}
+
 // gap_tolerance source periods in microseconds, rounded up. Zero, negative,
 // NaN and infinite tolerances fail the range check, as does a limit past the
 // int64 clock (a tiny rate or a huge tolerance), whose conversion would be
@@ -48,12 +59,15 @@ Session::Session(std::string id, const SessionConfig& config)
     : id_(std::move(id)),
       config_(checked(config)),
       factor_(data::decimation_factor(config.source_rate_hz, config.target_hz)),
-      raw_window_(config.window_length * factor_),
+      // hop <= window_length, so the raw hop fits whenever the raw window
+      // does; the ring rejects a capacity its slot vector cannot hold.
+      raw_window_(checked_product(config.window_length, factor_, "raw window")),
       raw_hop_(config.hop * factor_),
       gap_limit_us_(gap_limit_us(config)),
       ring_(config.ring_capacity != 0
                 ? config.ring_capacity
-                : static_cast<std::size_t>(4 * raw_window_)) {
+                : static_cast<std::size_t>(
+                      checked_product(4, raw_window_, "ring capacity"))) {
   if (ring_.capacity() < static_cast<std::size_t>(raw_window_)) {
     throw std::invalid_argument(
         "Session: ring_capacity " + std::to_string(config.ring_capacity) +

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -31,10 +32,13 @@ template <typename T>
 class SpscRing {
  public:
   /// Rounds `capacity` up to the next power of two (so index masking is one
-  /// AND). Throws std::invalid_argument on zero.
+  /// AND). Throws std::invalid_argument, before allocating, on zero or on a
+  /// capacity past the largest power of two the slot vector can hold.
   explicit SpscRing(std::size_t capacity) {
-    if (capacity == 0) {
-      throw std::invalid_argument("SpscRing: capacity must be positive");
+    if (capacity == 0 || capacity > std::bit_floor(slots_.max_size())) {
+      throw std::invalid_argument(
+          "SpscRing: capacity must be positive and fit a power-of-two slot "
+          "vector");
     }
     std::size_t rounded = 1;
     while (rounded < capacity) rounded <<= 1U;

@@ -65,9 +65,8 @@ class ForceKernelGuard {
 /// one contiguous sweep, bit-identical to it.
 Tensor bias_add(const Tensor& x, const Tensor& tile);
 
-/// y = gelu(x + bias) in one pass (tanh approximation, as ops.cpp gelu).
-/// `bias` may be an undefined Tensor for plain fused GELU; saga::gelu
-/// routes here.
+/// y = gelu(x + bias) in one pass, with the tanh approximation BERT-family
+/// models use. `bias` may be an undefined Tensor for plain GELU.
 Tensor bias_gelu(const Tensor& x, const Tensor& bias);
 
 /// y = layer_norm(x + residual) over the last dimension with learned

@@ -3,7 +3,7 @@
 //
 // Single definition of the fused cell's per-element forward/backward
 // formulas. The float-operation ORDER here is load-bearing: it reproduces,
-// expression by expression, the composed gate chain in nn/gru.cpp
+// expression by expression, the composed gate chain in tests/reference.hpp
 // (sigmoid/tanh/mul/add over gate slices) and its reverse-topological
 // backward, so the forced-scalar fused cell is bit-identical to the composed
 // reference (tested in tests/test_gru_cell.cpp). The scalar kernel uses this
@@ -15,7 +15,7 @@
 
 namespace saga::eltwise::detail {
 
-// ops.cpp SigmoidPolicy::fwd, verbatim.
+// The composed chain's sigmoid forward (tests/reference.hpp), verbatim.
 inline float sigmoid_ref(float x) { return 1.0F / (1.0F + std::exp(-x)); }
 
 /// One GRU cell element. Gate pre-activations gi_*/gh_* follow the packed

@@ -28,7 +28,10 @@ namespace {
 // exp(x) for 8 lanes, clamped to a range whose result stays finite: at the
 // high clamp, fx <= 126 so y * 2^fx < FLT_MAX (a clamp at the classic
 // 88.376 lets fx reach 128, overflowing the 2^n exponent to inf — which
-// would turn downstream (e-1)/(e+1) into inf/inf = NaN).
+// would turn downstream (e-1)/(e+1) into inf/inf = NaN). +/-inf lanes clamp
+// like any out-of-range value; a NaN lane stays NaN and so comes out NaN,
+// as std::exp's does. That rests on the clamp's operand order: minps and
+// maxps return their SECOND operand when either is NaN, so x goes second.
 inline __m256 exp256(__m256 x) {
   const __m256 hi = _mm256_set1_ps(87.0F);
   const __m256 lo = _mm256_set1_ps(-87.0F);
@@ -37,7 +40,7 @@ inline __m256 exp256(__m256 x) {
   const __m256 c2 = _mm256_set1_ps(-2.12194440e-4F);
   const __m256 one = _mm256_set1_ps(1.0F);
 
-  x = _mm256_max_ps(_mm256_min_ps(x, hi), lo);
+  x = _mm256_max_ps(lo, _mm256_min_ps(hi, x));
   __m256 fx = _mm256_fmadd_ps(x, log2e, _mm256_set1_ps(0.5F));
   fx = _mm256_floor_ps(fx);
   x = _mm256_fnmadd_ps(fx, c1, x);
@@ -63,8 +66,9 @@ inline __m256 tanh256(__m256 x) {
   // Saturation safety rides on exp256 never returning inf: for |2x| past
   // its +/-87 clamp, e is a huge-but-finite float whose +/-1 is absorbed
   // (e +/- 1 == e), so this evaluates to exactly +/-1.0f — matching
-  // std::tanh's float saturation. (With an unclamped exp, e = inf here
-  // would make this inf/inf = NaN; pinned by GeluSaturatesAtLargeMagnitudes.)
+  // std::tanh's float saturation, +/-inf included. (With an unclamped exp,
+  // e = inf here would make this inf/inf = NaN; pinned by
+  // GeluSaturatesAtLargeMagnitudes.) A NaN lane gives NaN, through exp256.
   const __m256 one = _mm256_set1_ps(1.0F);
   const __m256 e = exp256(_mm256_add_ps(x, x));  // exp(2x)
   return _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one));
@@ -329,8 +333,10 @@ void layer_norm_bwd(const float* xhat, const float* inv_std,
 }
 
 // sigmoid(x) = 1 / (1 + exp(-x)). exp256's +/-87 clamp keeps the
-// denominator finite, so the lanes saturate to exactly 0/1 like the scalar
-// reference.
+// denominator finite, so large positive lanes saturate to exactly 1 like
+// the scalar reference, and large negative ones (-inf included) to
+// 1 / (1 + e^87), about 1.6e-38, where the scalar reaches 0 once exp(-x)
+// overflows. A NaN lane gives NaN, through exp256.
 inline __m256 sigmoid256(__m256 x) {
   const __m256 one = _mm256_set1_ps(1.0F);
   const __m256 e = exp256(_mm256_sub_ps(_mm256_setzero_ps(), x));

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/eltwise/eltwise.hpp"
 #include "tensor/shape_ops.hpp"
 
 namespace saga {
@@ -113,11 +112,6 @@ struct AddPolicy {
   static float dfda(float, float, float g) { return g; }
   static float dfdb(float, float, float g) { return g; }
 };
-struct SubPolicy {
-  static float fwd(float a, float b) { return a - b; }
-  static float dfda(float, float, float g) { return g; }
-  static float dfdb(float, float, float g) { return -g; }
-};
 struct MulPolicy {
   static float fwd(float a, float b) { return a * b; }
   static float dfda(float, float b, float g) { return g * b; }
@@ -157,22 +151,6 @@ struct ReluPolicy {
   static float fwd(float x) { return x > 0.0F ? x : 0.0F; }
   static float grad(float x, float, float g) { return x > 0.0F ? g : 0.0F; }
 };
-struct TanhPolicy {
-  static float fwd(float x) { return std::tanh(x); }
-  static float grad(float, float y, float g) { return g * (1.0F - y * y); }
-};
-struct SigmoidPolicy {
-  static float fwd(float x) { return 1.0F / (1.0F + std::exp(-x)); }
-  static float grad(float, float y, float g) { return g * y * (1.0F - y); }
-};
-struct ExpPolicy {
-  static float fwd(float x) { return std::exp(x); }
-  static float grad(float, float y, float g) { return g * y; }
-};
-struct LogPolicy {
-  static float fwd(float x) { return std::log(x); }
-  static float grad(float x, float, float g) { return g / x; }
-};
 struct SquarePolicy {
   static float fwd(float x) { return x * x; }
   static float grad(float x, float, float g) { return 2.0F * g * x; }
@@ -181,28 +159,15 @@ struct SqrtPolicy {
   static float fwd(float x) { return std::sqrt(x); }
   static float grad(float, float y, float g) { return g / (2.0F * y); }
 };
-struct NegPolicy {
-  static float fwd(float x) { return -x; }
-  static float grad(float, float, float g) { return -g; }
-};
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) { return binary_op<AddPolicy>(a, b, "add"); }
-Tensor sub(const Tensor& a, const Tensor& b) { return binary_op<SubPolicy>(a, b, "sub"); }
 Tensor mul(const Tensor& a, const Tensor& b) { return binary_op<MulPolicy>(a, b, "mul"); }
 Tensor div(const Tensor& a, const Tensor& b) { return binary_op<DivPolicy>(a, b, "div"); }
 
 Tensor relu(const Tensor& a) { return unary_op<ReluPolicy>(a, "relu"); }
-// GELU routes through the fused eltwise engine (vectorized tanh; the scalar
-// kernel performs this file's historical per-element arithmetic exactly).
-Tensor gelu(const Tensor& a) { return eltwise::bias_gelu(a, Tensor()); }
-Tensor tanh_op(const Tensor& a) { return unary_op<TanhPolicy>(a, "tanh"); }
-Tensor sigmoid(const Tensor& a) { return unary_op<SigmoidPolicy>(a, "sigmoid"); }
-Tensor exp_op(const Tensor& a) { return unary_op<ExpPolicy>(a, "exp"); }
-Tensor log_op(const Tensor& a) { return unary_op<LogPolicy>(a, "log"); }
 Tensor square(const Tensor& a) { return unary_op<SquarePolicy>(a, "square"); }
 Tensor sqrt_op(const Tensor& a) { return unary_op<SqrtPolicy>(a, "sqrt"); }
-Tensor neg(const Tensor& a) { return unary_op<NegPolicy>(a, "neg"); }
 
 Tensor scale(const Tensor& a_in, float factor) {
   const Tensor a = contiguous(a_in);

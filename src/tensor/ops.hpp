@@ -11,7 +11,6 @@
 namespace saga {
 
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor div(const Tensor& a, const Tensor& b);
 
@@ -19,15 +18,8 @@ Tensor div(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float factor);
 /// out = a + value
 Tensor add_scalar(const Tensor& a, float value);
-Tensor neg(const Tensor& a);
 
 Tensor relu(const Tensor& a);
-/// GELU with the tanh approximation (as used by BERT-family models).
-Tensor gelu(const Tensor& a);
-Tensor tanh_op(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor exp_op(const Tensor& a);
-Tensor log_op(const Tensor& a);
 Tensor square(const Tensor& a);
 Tensor sqrt_op(const Tensor& a);
 
@@ -36,7 +28,6 @@ Tensor sqrt_op(const Tensor& a);
 Tensor dropout(const Tensor& a, double p, bool training, util::Rng& rng);
 
 inline Tensor operator+(const Tensor& a, const Tensor& b) { return add(a, b); }
-inline Tensor operator-(const Tensor& a, const Tensor& b) { return sub(a, b); }
 inline Tensor operator*(const Tensor& a, const Tensor& b) { return mul(a, b); }
 inline Tensor operator/(const Tensor& a, const Tensor& b) { return div(a, b); }
 

@@ -39,45 +39,6 @@ Tensor mean(const Tensor& a_in) {
                              });
 }
 
-Tensor softmax_lastdim(const Tensor& a_in) {
-  const Tensor a = contiguous(a_in);
-  const std::int64_t cols = a.size(-1);
-  const std::int64_t rows = a.numel() / cols;
-  std::vector<float> out(static_cast<std::size_t>(a.numel()));
-  const float* src = a.data().data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* x = src + r * cols;
-    float* y = out.data() + r * cols;
-    float max_v = x[0];
-    for (std::int64_t c = 1; c < cols; ++c) max_v = std::max(max_v, x[c]);
-    double denom = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      y[c] = std::exp(x[c] - max_v);
-      denom += y[c];
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::int64_t c = 0; c < cols; ++c) y[c] *= inv;
-  }
-  return detail::make_result(a.shape(), std::move(out), {&a}, "softmax", [&] {
-    return [a_impl = a.impl(), rows, cols](const TensorImpl& o) {
-        if (!detail::wants_grad(*a_impl)) return;
-        float* ga = a_impl->grad_ptr();
-        const float* y = o.data_ptr();
-        const float* go = o.grad_ptr();
-        for (std::int64_t r = 0; r < rows; ++r) {
-          const float* yr = y + r * cols;
-          const float* gr = go + r * cols;
-          float* gar = ga + r * cols;
-          double dot = 0.0;
-          for (std::int64_t c = 0; c < cols; ++c) dot += double(yr[c]) * gr[c];
-          for (std::int64_t c = 0; c < cols; ++c) {
-            gar[c] += yr[c] * (gr[c] - static_cast<float>(dot));
-          }
-        }
-    };
-  });
-}
-
 Tensor log_softmax_lastdim(const Tensor& a_in) {
   const Tensor a = contiguous(a_in);
   const std::int64_t cols = a.size(-1);

@@ -10,8 +10,6 @@ Tensor sum(const Tensor& a);
 /// Mean of all elements -> scalar [1].
 Tensor mean(const Tensor& a);
 
-/// Softmax over the last dimension.
-Tensor softmax_lastdim(const Tensor& a);
 /// Log-softmax over the last dimension (numerically stable).
 Tensor log_softmax_lastdim(const Tensor& a);
 

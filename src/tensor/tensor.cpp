@@ -196,12 +196,6 @@ Tensor Tensor::clone() const {
   return from_data(impl_->shape, std::move(values), impl_->requires_grad);
 }
 
-Tensor Tensor::detach() const {
-  Tensor copy = clone();
-  if (copy.impl()) copy.impl()->requires_grad = false;
-  return copy;
-}
-
 void Tensor::backward() {
   if (!impl_) throw std::logic_error("backward: undefined tensor");
   if (numel() != 1) {

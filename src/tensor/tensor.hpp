@@ -146,9 +146,6 @@ class Tensor {
   /// Deep copy (fresh storage, gathers views dense) with no autograd
   /// history.
   Tensor clone() const;
-  /// Deep copy detached from the graph (copies data; tensors are small in
-  /// this system and copying keeps ownership simple).
-  Tensor detach() const;
   /// Runs reverse-mode autodiff from this scalar tensor.
   void backward();
 

@@ -34,8 +34,6 @@ const char* level_name(LogLevel level) noexcept {
 
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level = level; }
-
 LogLevel log_level() noexcept {
   std::call_once(g_env_once, init_from_env);
   return g_level.load();

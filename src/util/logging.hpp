@@ -9,9 +9,8 @@ namespace saga::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Sets the process-wide minimum level (default Info). Reads SAGA_LOG_LEVEL
-/// ("debug"/"info"/"warn"/"error") on first use.
-void set_log_level(LogLevel level) noexcept;
+/// The process-wide minimum level: SAGA_LOG_LEVEL
+/// ("debug"/"info"/"warn"/"error"), read on first use; Info when unset.
 LogLevel log_level() noexcept;
 
 /// Writes one formatted line to stderr if `level` passes the filter.

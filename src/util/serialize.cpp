@@ -234,10 +234,6 @@ void save_blobs(const std::string& path, const NamedBlobs& blobs) {
   });
 }
 
-NamedBlobs load_blobs(const std::string& path) {
-  return load_manifest(path).blobs;
-}
-
 void save_manifest(const std::string& path, const Manifest& manifest) {
   // Emit the oldest version that can hold the manifest: byte blobs need v3,
   // everything else stays in the v2 layout so existing files (and the golden

@@ -50,10 +50,6 @@ struct Manifest {
 /// failure. Kept for plain weight checkpoints with no metadata.
 void save_blobs(const std::string& path, const NamedBlobs& blobs);
 
-/// Reads the blobs of a v1 or v2 file; throws std::runtime_error on
-/// malformed input (bad magic, unsupported version, truncation).
-NamedBlobs load_blobs(const std::string& path);
-
 /// Writes `manifest` to `path` — v2 when `byte_blobs` is empty, v3 otherwise.
 void save_manifest(const std::string& path, const Manifest& manifest);
 

@@ -103,6 +103,85 @@ inline Tensor layer_norm_lastdim(const Tensor& x, const Tensor& gamma,
       });
 }
 
+/// Element-wise autograd op out = fwd(x) with dL/dx += grad(out, dL/dout),
+/// built on detail::make_result like the library's own unary ops.
+template <typename Fwd, typename Grad>
+Tensor unary_op(const Tensor& a_in, const char* name, Fwd fwd, Grad grad) {
+  const Tensor a = contiguous(a_in);
+  const auto av = a.data();
+  std::vector<float> out(av.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = fwd(av[i]);
+  return detail::make_result(a.shape(), std::move(out), {&a}, name, [&] {
+    return [a_impl = a.impl(), grad](const TensorImpl& o) {
+      if (!detail::wants_grad(*a_impl)) return;
+      float* ga = a_impl->grad_ptr();
+      const float* od = o.data_ptr();
+      const float* go = o.grad_ptr();
+      const auto n = static_cast<std::size_t>(o.numel());
+      for (std::size_t i = 0; i < n; ++i) ga[i] += grad(od[i], go[i]);
+    };
+  });
+}
+
+/// The composed GRU chain's activations. Their per-element forward and
+/// backward expressions are the ones the fused cell's scalar kernel
+/// (src/tensor/eltwise/gru_math.hpp) reproduces bit for bit.
+inline Tensor sigmoid(const Tensor& a) {
+  return unary_op(
+      a, "sigmoid", [](float x) { return 1.0F / (1.0F + std::exp(-x)); },
+      [](float y, float g) { return g * y * (1.0F - y); });
+}
+inline Tensor tanh_op(const Tensor& a) {
+  return unary_op(
+      a, "tanh", [](float x) { return std::tanh(x); },
+      [](float y, float g) { return g * (1.0F - y * y); });
+}
+inline Tensor neg(const Tensor& a) {
+  return unary_op(
+      a, "neg", [](float x) { return -x; }, [](float, float g) { return -g; });
+}
+
+/// Softmax over the last dimension (the attention oracle's row softmax),
+/// with its own backward; sums in double.
+inline Tensor softmax_lastdim(const Tensor& a_in) {
+  const Tensor a = contiguous(a_in);
+  const std::int64_t cols = a.size(-1);
+  const std::int64_t rows = a.numel() / cols;
+  std::vector<float> out(static_cast<std::size_t>(a.numel()));
+  const float* src = a.data().data();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* x = src + r * cols;
+    float* y = out.data() + r * cols;
+    float max_v = x[0];
+    for (std::int64_t c = 1; c < cols; ++c) max_v = std::max(max_v, x[c]);
+    double denom = 0.0;
+    for (std::int64_t c = 0; c < cols; ++c) {
+      y[c] = std::exp(x[c] - max_v);
+      denom += y[c];
+    }
+    const float inv = static_cast<float>(1.0 / denom);
+    for (std::int64_t c = 0; c < cols; ++c) y[c] *= inv;
+  }
+  return detail::make_result(a.shape(), std::move(out), {&a}, "softmax", [&] {
+    return [a_impl = a.impl(), rows, cols](const TensorImpl& o) {
+      if (!detail::wants_grad(*a_impl)) return;
+      float* ga = a_impl->grad_ptr();
+      const float* y = o.data_ptr();
+      const float* go = o.grad_ptr();
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float* yr = y + r * cols;
+        const float* gr = go + r * cols;
+        float* gar = ga + r * cols;
+        double dot = 0.0;
+        for (std::int64_t c = 0; c < cols; ++c) dot += double(yr[c]) * gr[c];
+        for (std::int64_t c = 0; c < cols; ++c) {
+          gar[c] += yr[c] * (gr[c] - static_cast<float>(dot));
+        }
+      }
+    };
+  });
+}
+
 /// nn::GRUCell::step as the composed gate chain over [r | z | n] slices
 /// (bit-identical to it on the scalar eltwise kernel, forward and backward):
 /// r = sigmoid(gi_r + gh_r), z = sigmoid(gi_z + gh_z),

@@ -23,10 +23,18 @@ Tensor tiny_batch(const data::Dataset& d, std::int64_t n) {
   return data::make_batch(d, indices, data::Task::kActivityRecognition).inputs;
 }
 
+// Every sample of x through the same transform.
+Tensor apply_to_all(const Tensor& x, Augmentation augmentation,
+                    std::uint64_t seed) {
+  const std::vector<std::int32_t> ids(static_cast<std::size_t>(x.size(0)),
+                                      static_cast<std::int32_t>(augmentation));
+  return apply_per_sample(x, ids, seed);
+}
+
 TEST(Augment, IdentityLeavesDataUntouched) {
   const auto d = tiny_dataset();
   const Tensor x = tiny_batch(d, 4);
-  const Tensor y = apply_augmentation(x, Augmentation::kIdentity, 1);
+  const Tensor y = apply_to_all(x, Augmentation::kIdentity, 1);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(x.at(i), y.at(i));
 }
 
@@ -34,15 +42,15 @@ TEST(Augment, AllTransformsPreserveShape) {
   const auto d = tiny_dataset();
   const Tensor x = tiny_batch(d, 4);
   for (std::int32_t id = 0; id < kNumAugmentations; ++id) {
-    const Tensor y = apply_augmentation(x, static_cast<Augmentation>(id), 2);
-    EXPECT_EQ(y.shape(), x.shape()) << augmentation_name(static_cast<Augmentation>(id));
+    const Tensor y = apply_to_all(x, static_cast<Augmentation>(id), 2);
+    EXPECT_EQ(y.shape(), x.shape()) << "augmentation " << id;
   }
 }
 
 TEST(Augment, RotationPreservesTriadNorms) {
   const auto d = tiny_dataset();
   const Tensor x = tiny_batch(d, 2);
-  const Tensor y = apply_augmentation(x, Augmentation::kRotation, 3);
+  const Tensor y = apply_to_all(x, Augmentation::kRotation, 3);
   const std::int64_t length = x.size(1);
   const std::int64_t channels = x.size(2);
   for (std::int64_t t = 0; t < length; ++t) {
@@ -64,15 +72,15 @@ TEST(Augment, TimeReversalIsInvolution) {
   const Tensor x = tiny_batch(d, 2);
   // Applying reversal twice with any seeds restores the input (no randomness
   // in the transform itself).
-  const Tensor once = apply_augmentation(x, Augmentation::kTimeReversal, 4);
-  const Tensor twice = apply_augmentation(once, Augmentation::kTimeReversal, 5);
+  const Tensor once = apply_to_all(x, Augmentation::kTimeReversal, 4);
+  const Tensor twice = apply_to_all(once, Augmentation::kTimeReversal, 5);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(twice.at(i), x.at(i));
 }
 
 TEST(Augment, ScalingIsUniformPerWindow) {
   const auto d = tiny_dataset();
   const Tensor x = tiny_batch(d, 1);
-  const Tensor y = apply_augmentation(x, Augmentation::kScaling, 6);
+  const Tensor y = apply_to_all(x, Augmentation::kScaling, 6);
   // Ratio must be constant wherever x != 0.
   double ratio = 0.0;
   for (std::int64_t i = 0; i < x.numel(); ++i) {

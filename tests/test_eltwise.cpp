@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -133,7 +134,7 @@ TEST(Eltwise, ShapeValidation) {
 
 // The scalar kernel performs exactly the composed ops' per-element
 // arithmetic: forced-scalar fused results must be bit-identical to the
-// composed reference graph (saga::add, saga::gelu and
+// composed reference graph (saga::add, plain bias_gelu over saga::add, and
 // reference::layer_norm_lastdim).
 TEST(Eltwise, ForcedScalarMatchesComposedBitwise) {
   const eltwise::ForceKernelGuard guard(eltwise::Kernel::kScalar);
@@ -146,7 +147,8 @@ TEST(Eltwise, ForcedScalarMatchesComposedBitwise) {
   Tensor pos = Tensor::randn({5, 8}, rng);
 
   expect_bitwise_equal(eltwise::bias_add(x, bias), add(x, bias), "bias_add");
-  expect_bitwise_equal(eltwise::bias_gelu(x, bias), gelu(add(x, bias)),
+  expect_bitwise_equal(eltwise::bias_gelu(x, bias),
+                       eltwise::bias_gelu(add(x, bias), Tensor()),
                        "bias_gelu");
   expect_bitwise_equal(eltwise::residual_layer_norm(x, r, gamma, beta),
                        reference::layer_norm_lastdim(add(x, r), gamma, beta),
@@ -168,7 +170,8 @@ TEST(Eltwise, ForcedScalarGradsMatchComposedGrads) {
     Tensor bias = Tensor::randn({8}, local, 1.0F, true);
     Tensor gamma = Tensor::rand_uniform({8}, local, 0.5F, 1.5F, true);
     Tensor beta = Tensor::randn({8}, local, 1.0F, true);
-    Tensor h = fused ? eltwise::bias_gelu(x, bias) : gelu(add(x, bias));
+    Tensor h = fused ? eltwise::bias_gelu(x, bias)
+                     : eltwise::bias_gelu(add(x, bias), Tensor());
     Tensor y = fused ? eltwise::residual_layer_norm(h, r, gamma, beta)
                      : reference::layer_norm_lastdim(add(h, r), gamma, beta);
     sum(y).backward();
@@ -245,6 +248,73 @@ TEST(Eltwise, GeluSaturatesAtLargeMagnitudes) {
       } else if (in <= -9.0F) {
         ASSERT_EQ(out, 0.0F) << "gelu(" << in << ") should saturate to 0";
         ASSERT_EQ(grad, 0.0F);
+      }
+    }
+  }
+}
+
+// Non-finite inputs: every kernel must agree with the scalar one on which
+// outputs are NaN. A NaN gate pre-activation poisons the GRU cell's output
+// (std::exp and std::tanh propagate it) and +/-inf saturates it; bias_gelu
+// maps NaN and -inf to NaN. The poison sits in a vector-body column (3) and
+// a scalar-tail column (9) of hidden 11.
+TEST(Eltwise, KernelsAgreeOnNonFiniteInputs) {
+  constexpr std::int64_t kHidden = 11;
+  constexpr std::int64_t kColumns[] = {3, 9};
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const auto nan_mask = [](std::span<const float> values) {
+    std::vector<bool> mask;
+    for (const float v : values) mask.push_back(std::isnan(v));
+    return mask;
+  };
+  for (const float poison : {std::nanf(""), kInf, -kInf}) {
+    SCOPED_TRACE(poison);
+    // NaN masks of: the GRU cell's output, with one row per poisoned
+    // (input, gate, column) slot; bias_gelu's output and its x and bias
+    // gradients, with one poisoned column per row.
+    const auto masks = [&](eltwise::Kernel kernel) {
+      const eltwise::ForceKernelGuard guard(kernel);
+      util::Rng rng(21);
+      const std::int64_t rows = 2 * 3 * 2;
+      Tensor gi = Tensor::randn({rows, 3 * kHidden}, rng);
+      Tensor gh = Tensor::randn({rows, 3 * kHidden}, rng);
+      const Tensor h = Tensor::randn({rows, kHidden}, rng);
+      std::int64_t row = 0;
+      for (Tensor* gates : {&gi, &gh}) {
+        for (std::int64_t gate = 0; gate < 3; ++gate) {
+          for (const std::int64_t column : kColumns) {
+            gates->data()[static_cast<std::size_t>(
+                (row++ * 3 + gate) * kHidden + column)] = poison;
+          }
+        }
+      }
+      Tensor x = Tensor::randn({2, kHidden}, rng, 1.0F, true);
+      Tensor bias = Tensor::randn({kHidden}, rng, 1.0F, true);
+      x.data()[static_cast<std::size_t>(kColumns[0])] = poison;
+      x.data()[static_cast<std::size_t>(kHidden + kColumns[1])] = poison;
+      const Tensor y = eltwise::bias_gelu(x, bias);
+      sum(y).backward();
+      return std::vector<std::vector<bool>>{
+          nan_mask(eltwise::gru_cell(gi, gh, h).data()), nan_mask(y.data()),
+          nan_mask(x.grad()), nan_mask(bias.grad())};
+    };
+    const auto scalar = masks(eltwise::Kernel::kScalar);
+    if (std::isnan(poison)) {
+      for (std::int64_t row = 0; row < 12; ++row) {
+        EXPECT_TRUE(scalar[0][static_cast<std::size_t>(
+            row * kHidden + kColumns[row % 2])])
+            << "gru_cell row " << row;
+      }
+    }
+    for (const auto kernel : eltwise::available_kernels()) {
+      SCOPED_TRACE(eltwise::kernel_name(kernel));
+      const auto got = masks(kernel);
+      const char* names[] = {"gru_cell", "bias_gelu", "bias_gelu dx",
+                             "bias_gelu dbias"};
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        for (std::size_t j = 0; j < got[i].size(); ++j) {
+          EXPECT_EQ(got[i][j], scalar[i][j]) << names[i] << " element " << j;
+        }
       }
     }
   }
@@ -527,7 +597,7 @@ TEST(Eltwise, LinearFusedGeluMatchesComposed) {
   const nn::Linear linear(10, 6, rng);
   const Tensor x = Tensor::randn({4, 10}, rng);
   const Tensor fused = linear.forward(x, nn::Activation::kGelu);
-  const Tensor composed = gelu(linear.forward(x));
+  const Tensor composed = eltwise::bias_gelu(linear.forward(x), Tensor());
   expect_close(fused, composed, 2e-4F, "linear gelu epilogue");
   const std::vector<float> first = values_of(fused);
   const std::vector<float> second = values_of(linear.forward(x, nn::Activation::kGelu));

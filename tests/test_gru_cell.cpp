@@ -169,7 +169,7 @@ TEST(GruCell, KernelsAgreeToRounding) {
     Tensor h = Tensor::randn({4, 17}, rng, 1.0F, true);
     Tensor out = eltwise::gru_cell(gi, gh, h);
     sum(square(out)).backward();
-    std::vector<Tensor> result{out.detach()};
+    std::vector<Tensor> result{out.clone()};
     for (Tensor* t : {&gi, &gh, &h}) {
       result.push_back(Tensor::from_data(
           t->shape(), {t->grad().begin(), t->grad().end()}));

@@ -179,7 +179,7 @@ TEST(CheckpointIntegration, StateDictSurvivesDiskRoundTrip) {
 
   bc.seed = 10;  // different init
   models::LimuBertBackbone restored(bc);
-  restored.load_state_dict(util::load_blobs(path));
+  restored.load_state_dict(util::load_manifest(path).blobs);
   std::filesystem::remove(path);
 
   original.set_training(false);

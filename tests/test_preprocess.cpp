@@ -176,6 +176,11 @@ TEST(DecimationFactor, RoundsAndClamps) {
   EXPECT_THROW(decimation_factor(100.0, std::nan("")), std::invalid_argument);
   EXPECT_THROW(decimation_factor(kInf, 20.0), std::invalid_argument);
   EXPECT_THROW(decimation_factor(100.0, kInf), std::invalid_argument);
+  // So is a finite ratio whose rounding has no int64 value (llround's
+  // overflow used to clamp it to 1); ratios below 2^63 still convert.
+  EXPECT_THROW(decimation_factor(1e300, 20.0), std::invalid_argument);
+  EXPECT_THROW(decimation_factor(20.0 * 0x1p63, 20.0), std::invalid_argument);
+  EXPECT_EQ(decimation_factor(20.0 * 0x1p62, 20.0), std::int64_t{1} << 62);
 }
 
 TEST(PreprocessWindow, MatchesDownsampleThenNormalize) {

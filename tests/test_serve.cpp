@@ -3,19 +3,24 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "data/synthetic.hpp"
+#include "harness/loadgen.hpp"
+#include "models/backbone.hpp"
+#include "models/classifier.hpp"
 #include "serve/artifact.hpp"
 #include "serve/engine.hpp"
-#include "serve/loadgen.hpp"
 #include "serve/router.hpp"
 #include "tensor/grad_mode.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace saga::serve {
@@ -65,8 +70,43 @@ class ServeTest : public ::testing::Test {
 data::Dataset* ServeTest::dataset_ = nullptr;
 core::Pipeline* ServeTest::pipeline_ = nullptr;
 
+// One non-finite sample poisons the whole window on every kernel: a
+// paper-size fp32 Engine returns all-NaN logits for it, as the scalar
+// kernels always did, instead of a finite (and confident) row. Only the
+// logits are pinned; what label a NaN row maps to is a separate policy.
+TEST(ServePoisonedWindow, NonFiniteSampleGivesAllNaNLogits) {
+  util::SeedSplitter seeds(7);
+  models::BackboneConfig backbone_config;  // the paper's model
+  backbone_config.seed = seeds.next();
+  models::ClassifierConfig classifier_config;
+  classifier_config.seed = seeds.next();
+  const models::LimuBertBackbone backbone(backbone_config);
+  const models::GruClassifier classifier(classifier_config);
+  Engine engine(Artifact::from_models(backbone, classifier,
+                                      data::Task::kActivityRecognition));
+  const std::int64_t values = engine.artifact().window_length() *
+                              engine.artifact().channels();
+  util::Rng rng(11);
+  const Tensor clean = Tensor::randn({values}, rng);
+  for (const float v : engine.predict(clean.data()).logits) {
+    ASSERT_TRUE(std::isfinite(v));
+  }
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const float poison : {std::nanf(""), kInf, -kInf}) {
+    SCOPED_TRACE(poison);
+    std::vector<float> window(clean.data().begin(), clean.data().end());
+    window[window.size() / 2 + 1] = poison;
+    const Prediction prediction = engine.predict(window);
+    ASSERT_EQ(static_cast<std::int64_t>(prediction.logits.size()),
+              engine.artifact().num_classes());
+    for (std::size_t c = 0; c < prediction.logits.size(); ++c) {
+      EXPECT_TRUE(std::isnan(prediction.logits[c])) << "logit " << c;
+    }
+  }
+}
+
 TEST_F(ServeTest, PipelineExportsAfterRun) {
-  EXPECT_TRUE(pipeline_->has_trained());
+  EXPECT_NO_THROW((void)pipeline_->trained());
   const Artifact a = artifact();
   EXPECT_EQ(a.task, data::Task::kActivityRecognition);
   EXPECT_EQ(a.window_length(), dataset_->window_length);
@@ -80,7 +120,7 @@ TEST_F(ServeTest, PipelineExportsAfterRun) {
 TEST_F(ServeTest, UnrunPipelineRefusesExport) {
   core::Pipeline fresh(*dataset_, data::Task::kActivityRecognition,
                        core::fast_profile());
-  EXPECT_FALSE(fresh.has_trained());
+  EXPECT_THROW((void)fresh.trained(), std::runtime_error);
   EXPECT_THROW(Artifact::from_pipeline(fresh), std::runtime_error);
 }
 

@@ -46,6 +46,7 @@ TEST(SpscRing, SingleThreadPushPeekPop) {
   EXPECT_TRUE(ring.push(8));    // freed slots are reusable (wraparound)
   EXPECT_EQ(ring.peek(5), 8);
   EXPECT_THROW(SpscRing<int>(0), std::invalid_argument);
+  EXPECT_THROW(SpscRing<int>(std::size_t{1} << 62), std::invalid_argument);
 }
 
 TEST(SpscRing, ProducerConsumerThreadsDeliverInOrder) {
@@ -331,6 +332,21 @@ TEST(Session, ValidatesConfig) {
   EXPECT_THROW(Session("u", config), std::invalid_argument);
   config = small_config();
   config.ring_capacity = 16;  // < one raw window of 40
+  EXPECT_THROW(Session("u", config), std::invalid_argument);
+  // Huge finite source rates fail before anything converts or allocates.
+  // With the paper's 120-sample windows at 20 Hz: at 1e300 Hz the
+  // decimation factor has no int64 value; at 1e19 Hz the factor (5e17)
+  // fits but the raw window does not; at 1e17 Hz the raw window fits but
+  // its ring exceeds the ring's max_size(), as does an explicit
+  // 2^62-sample ring.
+  for (const double rate : {1e300, 1e19, 1e17}) {
+    SCOPED_TRACE(rate);
+    config = SessionConfig{};
+    config.source_rate_hz = rate;
+    EXPECT_THROW(Session("u", config), std::invalid_argument);
+  }
+  config = SessionConfig{};
+  config.ring_capacity = std::size_t{1} << 62;
   EXPECT_THROW(Session("u", config), std::invalid_argument);
 }
 

@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "gradcheck.hpp"
+#include "reference.hpp"
+#include "tensor/eltwise/eltwise.hpp"
 #include "tensor/grad_mode.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/reduce.hpp"
@@ -53,11 +55,10 @@ TEST(TensorBasics, CloneIsDeep) {
   EXPECT_EQ(a.at(0), 1.0F);
 }
 
-TEST(ElementwiseForward, AddSubMulDiv) {
+TEST(ElementwiseForward, AddMulDiv) {
   Tensor a = Tensor::from_data({3}, {1.0F, 2.0F, 3.0F});
   Tensor b = Tensor::from_data({3}, {4.0F, 5.0F, 0.5F});
   EXPECT_EQ(add(a, b).at(1), 7.0F);
-  EXPECT_EQ(sub(a, b).at(0), -3.0F);
   EXPECT_EQ(mul(a, b).at(2), 1.5F);
   EXPECT_EQ(div(a, b).at(2), 6.0F);
 }
@@ -84,19 +85,18 @@ TEST(ElementwiseForward, UnaryValues) {
   Tensor x = Tensor::from_data({4}, {-1.0F, 0.0F, 1.0F, 2.0F});
   EXPECT_EQ(relu(x).at(0), 0.0F);
   EXPECT_EQ(relu(x).at(3), 2.0F);
-  EXPECT_NEAR(sigmoid(x).at(1), 0.5F, 1e-6F);
-  EXPECT_NEAR(tanh_op(x).at(2), std::tanh(1.0F), 1e-6F);
-  EXPECT_NEAR(exp_op(x).at(0), std::exp(-1.0F), 1e-6F);
+  EXPECT_NEAR(reference::sigmoid(x).at(1), 0.5F, 1e-6F);
+  EXPECT_NEAR(reference::tanh_op(x).at(2), std::tanh(1.0F), 1e-6F);
   EXPECT_NEAR(square(x).at(3), 4.0F, 1e-6F);
-  EXPECT_NEAR(gelu(x).at(1), 0.0F, 1e-6F);
-  EXPECT_NEAR(gelu(x).at(3), 1.9546F, 1e-3F);
+  EXPECT_NEAR(eltwise::bias_gelu(x, Tensor()).at(1), 0.0F, 1e-6F);
+  EXPECT_NEAR(eltwise::bias_gelu(x, Tensor()).at(3), 1.9546F, 1e-3F);
 }
 
 TEST(ElementwiseForward, ScaleAddScalarNeg) {
   Tensor x = Tensor::from_data({2}, {1.0F, -2.0F});
   EXPECT_EQ(scale(x, 3.0F).at(1), -6.0F);
   EXPECT_EQ(add_scalar(x, 1.0F).at(1), -1.0F);
-  EXPECT_EQ(neg(x).at(0), -1.0F);
+  EXPECT_EQ(reference::neg(x).at(0), -1.0F);
 }
 
 TEST(GradMode, NoGradSkipsTape) {
@@ -156,7 +156,6 @@ TEST_P(BinaryGradCheck, MatchesNumericGradient) {
       [&]() {
         switch (op) {
           case 0: return sum(add(a, b));
-          case 1: return sum(sub(a, b));
           case 2: return sum(mul(a, b));
           default: return sum(div(a, b));
         }
@@ -164,7 +163,9 @@ TEST_P(BinaryGradCheck, MatchesNumericGradient) {
       {a, b});
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBinaryOps, BinaryGradCheck, ::testing::Range(0, 4));
+// The parameter seeds each op's inputs; the ids of deleted ops stay unused so
+// every remaining op keeps its inputs.
+INSTANTIATE_TEST_SUITE_P(AllBinaryOps, BinaryGradCheck, ::testing::Values(0, 2, 3));
 
 class UnaryGradCheck : public ::testing::TestWithParam<int> {};
 
@@ -176,21 +177,20 @@ TEST_P(UnaryGradCheck, MatchesNumericGradient) {
       [&]() {
         switch (op) {
           case 0: return sum(relu(x));
-          case 1: return sum(tanh_op(x));
-          case 2: return sum(sigmoid(x));
-          case 3: return sum(exp_op(x));
-          case 4: return sum(log_op(x));
+          case 1: return sum(reference::tanh_op(x));
+          case 2: return sum(reference::sigmoid(x));
           case 5: return sum(square(x));
           case 6: return sum(sqrt_op(x));
-          case 7: return sum(gelu(x));
+          case 7: return sum(eltwise::bias_gelu(x, Tensor()));
           case 8: return sum(scale(x, 2.5F));
-          default: return sum(neg(x));
+          default: return sum(reference::neg(x));
         }
       },
       {x});
 }
 
-INSTANTIATE_TEST_SUITE_P(AllUnaryOps, UnaryGradCheck, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(AllUnaryOps, UnaryGradCheck,
+                         ::testing::Values(0, 1, 2, 5, 6, 7, 8, 9));
 
 TEST(BroadcastGrad, ReducesOverBroadcastDims) {
   util::Rng rng(7);

@@ -168,8 +168,7 @@ TEST(Serialize, RoundTripsBlobs) {
   blobs["b.bias"] = {};
   blobs["c"] = std::vector<float>(1000, 0.25F);
   save_blobs(path, blobs);
-  const auto loaded = load_blobs(path);
-  EXPECT_EQ(loaded, blobs);
+  EXPECT_EQ(load_manifest(path).blobs, blobs);
   std::filesystem::remove(path);
 }
 
@@ -180,7 +179,6 @@ TEST(Serialize, RejectsCorruptMagic) {
     std::fputs("NOPE", f);
     std::fclose(f);
   }
-  EXPECT_THROW(load_blobs(path), std::runtime_error);
   EXPECT_THROW(load_manifest(path), std::runtime_error);
   std::filesystem::remove(path);
 }
@@ -197,8 +195,6 @@ TEST(Serialize, ManifestRoundTripsMetadataAndBlobs) {
   save_manifest(path, manifest);
   const Manifest loaded = load_manifest(path);
   EXPECT_EQ(loaded, manifest);
-  // Blob-only readers see a v2 file's blobs too.
-  EXPECT_EQ(load_blobs(path), manifest.blobs);
   std::filesystem::remove(path);
 }
 
@@ -225,8 +221,6 @@ TEST(Serialize, ManifestRoundTripsByteBlobs) {
   save_manifest(path, manifest);
   const Manifest loaded = load_manifest(path);
   EXPECT_EQ(loaded, manifest);
-  // Blob-only readers still see a v3 file's float blobs.
-  EXPECT_EQ(load_blobs(path), manifest.blobs);
   std::filesystem::remove(path);
 }
 
@@ -291,14 +285,12 @@ TEST(Serialize, GoldenV1AndV2FixturesStillLoad) {
   const Manifest v1 = load_manifest(dir + "/golden_v1.manifest");
   EXPECT_TRUE(v1.metadata.empty());
   EXPECT_EQ(v1.blobs, expected_blobs);
-  EXPECT_EQ(load_blobs(dir + "/golden_v1.manifest"), expected_blobs);
 
   const Manifest v2 = load_manifest(dir + "/golden_v2.manifest");
   EXPECT_EQ(v2.require("format"), "saga.golden");
   EXPECT_EQ(v2.require("note"), "checked-in v2 fixture");
   EXPECT_EQ(v2.require_int("answer"), 42);
   EXPECT_EQ(v2.blobs, expected_blobs);
-  EXPECT_EQ(load_blobs(dir + "/golden_v2.manifest"), expected_blobs);
 }
 
 TEST(Serialize, RejectsUnsupportedVersion) {

@@ -1,7 +1,7 @@
 // The strided-view memory model: shape ops alias one shared Storage instead
 // of copying. This suite pins the aliasing semantics — view-of-view
 // composition, write-through visibility in both directions, gradient
-// accumulation through overlapping views into one base buffer, clone/detach
+// accumulation through overlapping views into one base buffer, clone
 // decoupling — plus the stride-honoring at()/item() accessors and the
 // zero-materializing-copy contract of a NoGrad backbone forward (counted by
 // detail::materializing_copies(), the view analogue of
@@ -102,14 +102,16 @@ TEST(Views, CloneGathersAndDecouples) {
   EXPECT_EQ(c.at(2), 2.0F);     // ...the clone does not.
 }
 
-TEST(Views, DetachDecouplesGraphAndStorage) {
+TEST(Views, CloneDecouplesGraphAndStorage) {
   util::Rng rng(3);
   Tensor a = Tensor::randn({4}, rng, 1.0F, true);
   Tensor v = slice(a, 0, 1, 2);
-  Tensor d = v.detach();
-  EXPECT_FALSE(d.requires_grad());
+  Tensor d = v.clone();
   EXPECT_EQ(d.impl()->node, nullptr);
   EXPECT_NE(d.impl()->storage, a.impl()->storage);
+  // No graph edge back to the base: backward through the clone stops at it.
+  sum(square(d)).backward();
+  EXPECT_FALSE(a.has_grad());
   a.data()[1] = 123.0F;
   EXPECT_EQ(v.at(0), 123.0F);
   EXPECT_NE(d.at(0), 123.0F);
