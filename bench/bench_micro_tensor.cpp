@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "data/preprocess.hpp"
 #include "models/backbone.hpp"
 #include "nn/attention.hpp"
 #include "models/classifier.hpp"
@@ -308,10 +309,45 @@ void register_gemm_s8_serve_rows() {
   }
 }
 
+// ---- stream preprocessing ------------------------------------------------
+// data::preprocess_window at the paper geometry: one 6 s window of 6-axis
+// samples at 100 Hz (600 x 6 raw floats) block-averaged to 20 Hz (120 x 6),
+// one row per eltwise kernel, since the block average dispatches through the
+// eltwise table.
+
+void run_preprocess_window(benchmark::State& state, eltwise::Kernel kernel) {
+  constexpr std::int64_t kChannels = 6;
+  constexpr std::int64_t kRawRows = 600;
+  util::Rng rng(13);
+  std::vector<float> raw(static_cast<std::size_t>(kRawRows * kChannels));
+  for (float& v : raw) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+  const eltwise::ForceKernelGuard pin(kernel);
+  for (auto _ : state) {
+    std::vector<float> window =
+        data::preprocess_window(raw, kChannels, 100.0, 20.0);
+    benchmark::DoNotOptimize(window.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRawRows * kChannels);
+}
+
+void register_preprocess_rows() {
+  for (const eltwise::Kernel kernel : eltwise::available_kernels()) {
+    const std::string name =
+        "BM_PreprocessWindow/600x6/kernel:" + eltwise::kernel_name(kernel);
+    benchmark::RegisterBenchmark(name.c_str(),
+                                 [kernel](benchmark::State& state) {
+                                   run_preprocess_window(state, kernel);
+                                 })
+        ->UseRealTime();
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   register_gemm_s8_serve_rows();
+  register_preprocess_rows();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

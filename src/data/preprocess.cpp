@@ -1,10 +1,11 @@
 #include "data/preprocess.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
+
+#include "tensor/eltwise/eltwise.hpp"
 
 namespace saga::data {
 
@@ -17,48 +18,6 @@ constexpr std::int64_t kAccAxes = 3;
 // front end checks its rates and g once per window.
 bool positive_finite(double x) {
   return x > 0.0 && x < std::numeric_limits<double>::infinity();
-}
-
-// The one block-average body behind downsample() and preprocess_window().
-// Output row t, channel c is float(sum over k < factor of
-// in[(t * factor + k) * channels + c] / double(factor)), the sum a double
-// accumulated from 0.0 in k order; the row's first `acc_axes` values are
-// then multiplied by `acc_scale` (float arithmetic, as
-// normalize_accelerometer does it in place). Channels go in pairs with
-// independent accumulators, so a row has several dependency chains in
-// flight while each channel keeps its own summation order; an odd count
-// ends in a scalar tail. Factor 1 copies instead: accumulating would turn
-// -0.0 into 0.0 + -0.0 = +0.0.
-void block_average(const float* in, std::int64_t out_length,
-                   std::int64_t channels, std::int64_t factor,
-                   std::int64_t acc_axes, float acc_scale, float* out) {
-  const auto divisor = static_cast<double>(factor);
-  for (std::int64_t t = 0; t < out_length;
-       ++t, in += factor * channels, out += channels) {
-    if (factor == 1) {
-      std::copy(in, in + channels, out);
-    } else {
-      std::int64_t c = 0;
-      for (; c + 1 < channels; c += 2) {
-        double acc0 = 0.0;
-        double acc1 = 0.0;
-        const float* p = in + c;
-        for (std::int64_t k = 0; k < factor; ++k, p += channels) {
-          acc0 += p[0];
-          acc1 += p[1];
-        }
-        out[c] = static_cast<float>(acc0 / divisor);
-        out[c + 1] = static_cast<float>(acc1 / divisor);
-      }
-      if (c < channels) {
-        double acc = 0.0;
-        const float* p = in + c;
-        for (std::int64_t k = 0; k < factor; ++k, p += channels) acc += *p;
-        out[c] = static_cast<float>(acc / divisor);
-      }
-    }
-    for (std::int64_t a = 0; a < acc_axes; ++a) out[a] *= acc_scale;
-  }
 }
 
 // normalize_accelerometer's argument checks; returns float(1 / g), the
@@ -90,8 +49,8 @@ Recording downsample(const Recording& recording, double target_hz) {
   out.channels = recording.channels;
   out.sample_rate_hz = recording.sample_rate_hz / static_cast<double>(factor);
   out.values.resize(static_cast<std::size_t>(out_length * out.channels));
-  block_average(recording.values.data(), out_length, out.channels, factor,
-                /*acc_axes=*/0, 1.0F, out.values.data());
+  eltwise::block_average(recording.values.data(), out_length, out.channels,
+                         factor, /*acc_axes=*/0, 1.0F, out.values.data());
   return out;
 }
 
@@ -183,14 +142,15 @@ std::vector<float> preprocess_window(std::span<const float> raw,
         std::to_string(factor));
   }
   const float inv_g = accelerometer_scale(g, kAccAxes, channels);
-  // Straight from the caller's span into the result: the same block-average
-  // body as downsample() with the accelerometer scaling folded in, so stream
-  // windows are bit-identical to offline-ingested ones by construction.
+  // Straight from the caller's span into the result: the same block average
+  // as downsample() (eltwise::block_average, bit-identical on every kernel)
+  // with the accelerometer scaling folded in, so stream windows are
+  // bit-identical to offline-ingested ones by construction.
   Recording window;
   window.channels = channels;
   window.values.resize(raw.size() / static_cast<std::size_t>(factor));
-  block_average(raw.data(), raw_length / factor, channels, factor, kAccAxes,
-                inv_g, window.values.data());
+  eltwise::block_average(raw.data(), raw_length / factor, channels, factor,
+                         kAccAxes, inv_g, window.values.data());
   if (channels >= 9) normalize_magnetometer(window, 6);
   return std::move(window.values);
 }

@@ -76,7 +76,8 @@ std::int64_t decimation_factor(double sample_rate_hz, double target_hz);
 /// bit-identical to downsampling the whole recording first and slicing
 /// after — which is why the batch and stream ingestion paths can share it.
 /// `raw` is read in place, with no intermediate copy: downsample()'s
-/// block-average body writes the result directly, the accelerometer scaling
+/// block average (eltwise::block_average, whose AVX2 kernel is bit-identical
+/// to its scalar one) writes the result directly, the accelerometer scaling
 /// folded into the same pass.
 std::vector<float> preprocess_window(std::span<const float> raw,
                                      std::int64_t channels,

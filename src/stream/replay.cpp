@@ -212,6 +212,7 @@ ReplayReport replay(SessionManager& manager,
           std::chrono::duration<double, std::milli>(event.emitted - due)
               .count();
       report.latency.latencies_ms.push_back(std::max(0.0, latency_ms));
+      report.latency.latency_hist.record(report.latency.latencies_ms.back());
     }
     report.events.emplace(trace.session, std::move(events));
   }

@@ -1,5 +1,6 @@
 #include "stream/session.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -77,64 +78,73 @@ Session::Session(std::string id, const SessionConfig& config)
   }
 }
 
-bool Session::push(const Sample& sample) noexcept {
-  // Monotonicity filter at the source: rejecting non-increasing timestamps
-  // here (instead of in the consumer) keeps the ring's content strictly
-  // ordered, so a window is always a contiguous ring range.
-  if (have_push_ts_ && sample.ts_us <= last_push_ts_) {
-    out_of_order_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (!ring_.push(sample)) {
-    samples_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  last_push_ts_ = sample.ts_us;
-  have_push_ts_ = true;
-  return true;
-}
-
 std::vector<SealedWindow> Session::poll() {
   std::vector<SealedWindow> sealed;
-  std::size_t available = ring_.size();
-  while (scan_ < available) {
-    const Sample& sample = ring_.peek(scan_);
-    if (have_prev_ts_ && sample.ts_us - prev_ts_ > gap_limit_us_) {
+  // One snapshot of every unconsumed sample, in place: positions count from
+  // the read index at entry, `begin` is where the window under assembly
+  // starts, and the ring is released up to it once, on the way out.
+  const std::size_t available = ring_.size();
+  const RingSpans<Sample> pending = ring_.peek(0, available);
+  const auto window_size = static_cast<std::size_t>(raw_window_);
+  const auto hop = static_cast<std::size_t>(raw_hop_);
+  std::size_t begin = 0;
+  std::size_t pos = scan_;
+  // The stream's first sample has no predecessor; compared with itself it
+  // passes every (positive) gap limit.
+  if (pos < available && !have_prev_ts_) {
+    prev_ts_ = pending[pos].ts_us;
+    have_prev_ts_ = true;
+  }
+  std::int64_t prev_ts = prev_ts_;
+  while (pos < available) {
+    // Gap-check one contiguous run, up to the sample that completes the
+    // window, the newest sample or the end of the slot array.
+    const std::span<const Sample> run =
+        pending.subspan(pos, std::min(available, begin + window_size) - pos)
+            .first;
+    const Sample* sample = run.data();
+    const Sample* const end = sample + run.size();
+    for (; sample != end && sample->ts_us - prev_ts <= gap_limit_us_;
+         ++sample) {
+      prev_ts = sample->ts_us;
+    }
+    pos += static_cast<std::size_t>(sample - run.data());
+    if (sample != end) {
       // Gap: the samples before it can never complete a window that the
       // post-gap samples may join — discard the partial window and restart
-      // assembly at the post-gap sample (which stays unconsumed).
+      // assembly at the post-gap sample.
       gaps_.fetch_add(1, std::memory_order_relaxed);
-      ring_.pop(scan_);
-      available -= scan_;
-      scan_ = 0;
-      have_prev_ts_ = false;  // don't re-trip on the same pair
-      continue;
+      begin = pos;
+      prev_ts = sample->ts_us;
+      ++pos;
     }
-    prev_ts_ = sample.ts_us;
-    have_prev_ts_ = true;
-    ++scan_;
-    if (scan_ == static_cast<std::size_t>(raw_window_)) {
+    if (pos - begin == window_size) {
       // Window complete: the first (and only) copy of these samples.
       SealedWindow window;
       window.seq = next_seq_++;
-      window.start_ts_us = ring_.peek(0).ts_us;
-      window.end_ts_us = prev_ts_;
-      window.raw.resize(
-          static_cast<std::size_t>(raw_window_ * kStreamChannels));
+      window.start_ts_us = pending[begin].ts_us;
+      window.end_ts_us = prev_ts;
+      window.raw.resize(window_size *
+                        static_cast<std::size_t>(kStreamChannels));
       float* out = window.raw.data();
-      for (std::size_t i = 0; i < static_cast<std::size_t>(raw_window_);
-           ++i, out += kStreamChannels) {
-        std::memcpy(out, ring_.peek(i).v.data(), sizeof(Sample::v));
+      const RingSpans<Sample> samples = pending.subspan(begin, window_size);
+      for (const std::span<const Sample> part :
+           {samples.first, samples.second}) {
+        for (const Sample& s : part) {
+          std::memcpy(out, s.v.data(), sizeof(Sample::v));
+          out += kStreamChannels;
+        }
       }
       sealed.push_back(std::move(window));
       windows_sealed_.fetch_add(1, std::memory_order_relaxed);
       // Advance one hop; the window-minus-hop overlap stays in the ring
       // (uncopied) as the head of the next window.
-      ring_.pop(static_cast<std::size_t>(raw_hop_));
-      available -= static_cast<std::size_t>(raw_hop_);
-      scan_ -= static_cast<std::size_t>(raw_hop_);
+      begin += hop;
     }
   }
+  ring_.pop(begin);
+  scan_ = pos - begin;
+  prev_ts_ = prev_ts;
   return sealed;
 }
 

@@ -4,11 +4,12 @@
 // by the SessionManager's pump thread.
 //
 // Windowing happens *in the ring*: the consumer scans arriving samples in
-// place (SpscRing::peek) and copies nothing until `window_length × factor`
-// consecutive samples are present, at which point one SealedWindow is copied
-// out and the read index advances by `hop × factor` — so overlapping windows
-// share their overlap through the ring, not through duplicated buffers. The
-// factor is data::decimation_factor(source_rate_hz, target_hz): a session
+// place (SpscRing::peek, at most two contiguous spans per poll) and copies
+// nothing until `window_length × factor` consecutive samples are present, at
+// which point one SealedWindow is copied out and the read index advances by
+// `hop × factor` — so overlapping windows share their overlap through the
+// ring, not through duplicated buffers. The factor is
+// data::decimation_factor(source_rate_hz, target_hz): a session
 // assembles windows in the *source-rate* domain so that the shared
 // data::preprocess_window() entry point downsamples each sealed window to
 // exactly `window_length` model samples.
@@ -109,7 +110,8 @@ class Session {
 
   /// Producer side: offers one sample. Returns false when it was NOT
   /// enqueued (ring full or out-of-order timestamp — distinguished in
-  /// stats()). Never blocks.
+  /// stats()). Never blocks. Defined inline below, so that a producer's
+  /// per-sample loop inlines it.
   bool push(const Sample& sample) noexcept;
 
   /// Consumer side: scans newly arrived samples, applies gap detection, and
@@ -136,9 +138,9 @@ class Session {
   std::int64_t last_push_ts_ = 0;
   bool have_push_ts_ = false;
 
-  // Consumer-owned scan state: samples [0, scan_) relative to the ring's
-  // read index have been gap-checked; the window under assembly always
-  // starts at relative index 0.
+  // Consumer-owned scan state, kept between polls: samples [0, scan_)
+  // relative to the ring's read index have been gap-checked, and the window
+  // under assembly always starts at relative index 0.
   std::size_t scan_ = 0;
   std::int64_t prev_ts_ = 0;
   bool have_prev_ts_ = false;
@@ -151,5 +153,22 @@ class Session {
   std::atomic<std::uint64_t> gaps_{0};
   std::atomic<std::uint64_t> windows_sealed_{0};
 };
+
+inline bool Session::push(const Sample& sample) noexcept {
+  // Monotonicity filter at the source: rejecting non-increasing timestamps
+  // here (instead of in the consumer) keeps the ring's content strictly
+  // ordered, so a window is always a contiguous ring range.
+  if (have_push_ts_ && sample.ts_us <= last_push_ts_) {
+    out_of_order_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  if (!ring_.push(sample)) {
+    samples_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  last_push_ts_ = sample.ts_us;
+  have_push_ts_ = true;
+  return true;
+}
 
 }  // namespace saga::stream

@@ -14,19 +14,48 @@
 // indices increase monotonically and are reduced mod capacity on access, so
 // full/empty never ambiguate. Capacity is rounded up to a power of two.
 //
+// The producer keeps a plain copy of the last tail_ it loaded, and reloads
+// tail_ (acquire, pairing with pop's release) only when that copy says the
+// ring is full. A stale tail only under-counts free slots, so it can never
+// let a push overwrite a slot the consumer still reads.
+//
 // Consumes: one producer thread's push() stream. Produces: in-place
-// peek(i)/pop(n) access for exactly one consumer thread. Any other
+// peek(i, n)/pop(n) access for exactly one consumer thread. Any other
 // concurrency is a contract violation, not a detected error.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 namespace saga::stream {
+
+/// A consumer-side view of ring values [i, i + n), in place: `first` runs up
+/// to the end of the slot array, `second` holds the part that wrapped to its
+/// start (empty unless the range wraps).
+template <typename T>
+struct RingSpans {
+  std::span<const T> first;
+  std::span<const T> second;
+
+  /// Value j of the range (j < first.size() + second.size()).
+  const T& operator[](std::size_t j) const noexcept {
+    return j < first.size() ? first[j] : second[j - first.size()];
+  }
+
+  /// Values [j, j + n) of the range, again as two spans (j + n must not
+  /// pass the range's end).
+  RingSpans subspan(std::size_t j, std::size_t n) const noexcept {
+    if (j >= first.size()) return {second.subspan(j - first.size(), n), {}};
+    const std::size_t head = std::min(n, first.size() - j);
+    return {first.subspan(j, head), second.first(n - head)};
+  }
+};
 
 template <typename T>
 class SpscRing {
@@ -55,8 +84,10 @@ class SpscRing {
   /// full — the caller counts the drop; it must never block.
   bool push(const T& value) noexcept {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail >= slots_.size()) return false;
+    if (head - producer_tail_ > mask_) {
+      producer_tail_ = tail_.load(std::memory_order_acquire);
+      if (head - producer_tail_ > mask_) return false;
+    }
     slots_[static_cast<std::size_t>(head) & mask_] = value;
     head_.store(head + 1, std::memory_order_release);
     return true;
@@ -75,12 +106,15 @@ class SpscRing {
                                     tail_.load(std::memory_order_relaxed));
   }
 
-  /// Consumer side: the i-th unconsumed sample (i < size()), in place — no
-  /// copy. Valid until pop() advances past it.
-  const T& peek(std::size_t i) const noexcept {
-    return slots_[static_cast<std::size_t>(
-                      tail_.load(std::memory_order_relaxed) + i) &
-                  mask_];
+  /// Consumer side: unconsumed values [i, i + n) (i + n <= size()), in
+  /// place — no copy — as at most two contiguous spans. Valid until pop()
+  /// advances past them.
+  RingSpans<T> peek(std::size_t i, std::size_t n) const noexcept {
+    const std::size_t start =
+        static_cast<std::size_t>(tail_.load(std::memory_order_relaxed) + i) &
+        mask_;
+    const std::size_t first = std::min(n, slots_.size() - start);
+    return {{slots_.data() + start, first}, {slots_.data(), n - first}};
   }
 
   /// Consumer side: releases the oldest `n` samples (n <= size()), freeing
@@ -97,6 +131,7 @@ class SpscRing {
   // is ~585k years), which keeps full/empty arithmetic overflow-free.
   std::atomic<std::uint64_t> head_{0};  // producer-owned
   std::atomic<std::uint64_t> tail_{0};  // consumer-owned
+  std::uint64_t producer_tail_ = 0;  // producer-only: tail_ at last reload
 };
 
 }  // namespace saga::stream

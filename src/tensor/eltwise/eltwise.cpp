@@ -271,4 +271,16 @@ void bias_act_quantize(const float* x, const float* bias, std::int64_t rows,
                                 out_stride, rows, d);
 }
 
+void block_average(const float* in, std::int64_t out_length,
+                   std::int64_t channels, std::int64_t factor,
+                   std::int64_t acc_axes, float acc_scale, float* out) {
+  if (channels < 1 || factor < 1 || acc_axes < 0 || acc_axes > channels) {
+    throw std::invalid_argument(
+        "block_average: needs channels >= 1, factor >= 1 and acc_axes in "
+        "[0, channels]");
+  }
+  active_table().block_average(in, out_length, channels, factor, acc_axes,
+                               acc_scale, out);
+}
+
 }  // namespace saga::eltwise

@@ -1,7 +1,8 @@
 // saga::eltwise — the fused elementwise engine behind the nn/model hot
 // paths: tiled bias adds (a [D] bias, or the [T, H] positional embedding),
 // bias+GELU, residual+layer-norm and the GRU cell, each with forward and
-// backward, plus the int8 path's bias+quantize epilogue.
+// backward, plus the int8 path's bias+quantize epilogue and the block
+// average that down-samples every raw window (data/preprocess).
 //
 // Why a unit of its own: after the GEMM rewrite, roughly half of backbone
 // forward time sat in composed elementwise chains — every `add(y, bias)`
@@ -19,8 +20,9 @@
 // composed ops' per-element arithmetic, so forced-scalar fused results are
 // bit-identical to the composed references in tests/reference.hpp (layer
 // norm, GRU gate chain, activation quantize) and to saga::add; the AVX2
-// kernel agrees to rounding (like gemm's kernels). SAGA_FORCE_SCALAR=1 pins
-// dispatch to scalar (read once per process).
+// kernel agrees to rounding (like gemm's kernels); the block average is
+// bit-identical on every kernel. SAGA_FORCE_SCALAR=1 pins dispatch to scalar
+// (read once per process).
 #pragma once
 
 #include <cstdint>
@@ -103,5 +105,18 @@ void bias_act_quantize(const float* x, const float* bias, std::int64_t rows,
                        std::int64_t d, bool gelu, float act_scale,
                        std::int32_t act_zero, std::int32_t act_max,
                        std::uint8_t* out, std::int64_t out_stride);
+
+/// Block-average down-sampling, the arithmetic of data::preprocess_window
+/// and data::downsample: `in` is [out_length * factor, channels] row-major,
+/// `out` receives [out_length, channels] where value (t, c) is
+/// float(sum over k < factor of in[t * factor + k][c] / double(factor)), the
+/// sum a double accumulated from 0.0 in k order, and the first `acc_axes`
+/// values of each row are then multiplied by `acc_scale` in float. Factor 1
+/// copies (keeping -0.0). Every kernel gives the scalar kernel's bits.
+/// Pointer-level and fwd-only; throws std::invalid_argument unless
+/// channels >= 1, factor >= 1 and 0 <= acc_axes <= channels.
+void block_average(const float* in, std::int64_t out_length,
+                   std::int64_t channels, std::int64_t factor,
+                   std::int64_t acc_axes, float acc_scale, float* out);
 
 }  // namespace saga::eltwise

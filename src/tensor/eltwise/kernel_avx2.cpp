@@ -10,7 +10,8 @@
 // mean/variance behaviour. Results therefore agree with the scalar kernels
 // only to rounding (the same contract as gemm's kernels); each kernel is
 // still individually deterministic — plain serial sweeps, no thread or tile
-// dependence.
+// dependence. The block average's body repeats the scalar arithmetic lane by
+// lane and is bit-identical to it.
 #include "tensor/eltwise/gelu_math.hpp"
 #include "tensor/eltwise/gru_math.hpp"
 #include "tensor/eltwise/kernels.hpp"
@@ -496,9 +497,69 @@ void bias_act_quant(const float* x, const float* t, bool gelu, float inv_scale,
   }
 }
 
-constexpr Kernels kAvx2Kernels{tile_add,  tile_add_bwd,  bias_gelu,
-                               bias_gelu_bwd, layer_norm, layer_norm_bwd,
-                               gru_cell, gru_cell_bwd, bias_act_quant};
+// Acc xyz + gyro xyz: every stream window (stream::kStreamChannels) and
+// every 6-axis recording.
+constexpr std::int64_t kSixAxis = 6;
+
+// Block average specialised for 6 channels, two output rows at a time: their
+// 12 values sit in three 4-lane double accumulators, [r0 c0-3],
+// [r0 c4-5 | r1 c0-1] and [r1 c2-5]. Each lane runs the scalar body's
+// operations in its order — a double sum from +0.0 adding k = 0 .. factor-1,
+// the division by double(factor), the rounding to float, then the float
+// multiply by acc_scale (by 1.0F, an identity, on the other channels) — so
+// the result is bit-identical to the scalar kernel's. Other channel counts,
+// factor 1 and an odd last row go through the scalar body.
+void block_average(const float* in, std::int64_t out_length,
+                   std::int64_t channels, std::int64_t factor,
+                   std::int64_t acc_axes, float acc_scale, float* out) {
+  const auto scalar = scalar_kernels().block_average;
+  if (channels != kSixAxis || factor == 1) {
+    scalar(in, out_length, channels, factor, acc_axes, acc_scale, out);
+    return;
+  }
+  alignas(16) float scale[2 * kSixAxis];
+  for (std::int64_t i = 0; i < 2 * kSixAxis; ++i) {
+    scale[i] = i % kSixAxis < acc_axes ? acc_scale : 1.0F;
+  }
+  const __m128 scale0 = _mm_load_ps(scale);
+  const __m128 scale1 = _mm_load_ps(scale + 4);
+  const __m128 scale2 = _mm_load_ps(scale + 8);
+  const __m256d divisor = _mm256_set1_pd(static_cast<double>(factor));
+  const std::int64_t row_stride = factor * kSixAxis;
+  std::int64_t t = 0;
+  for (; t + 2 <= out_length;
+       t += 2, in += 2 * row_stride, out += 2 * kSixAxis) {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd();
+    const float* p0 = in;               // row t, sample k
+    const float* p1 = in + row_stride;  // row t + 1, sample k
+    for (std::int64_t k = 0; k < factor; ++k, p0 += kSixAxis, p1 += kSixAxis) {
+      // c4-5 of row t and c0-1 of row t + 1: two 8-byte loads, no over-read.
+      const __m128 mid = _mm_loadh_pi(
+          _mm_castsi128_ps(
+              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p0 + 4))),
+          reinterpret_cast<const __m64*>(p1));
+      acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm_loadu_ps(p0)));
+      acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(mid));
+      acc2 = _mm256_add_pd(acc2, _mm256_cvtps_pd(_mm_loadu_ps(p1 + 2)));
+    }
+    _mm_storeu_ps(out, _mm_mul_ps(_mm256_cvtpd_ps(_mm256_div_pd(acc0, divisor)),
+                                  scale0));
+    _mm_storeu_ps(out + 4,
+                  _mm_mul_ps(_mm256_cvtpd_ps(_mm256_div_pd(acc1, divisor)),
+                             scale1));
+    _mm_storeu_ps(out + 8,
+                  _mm_mul_ps(_mm256_cvtpd_ps(_mm256_div_pd(acc2, divisor)),
+                             scale2));
+  }
+  if (t < out_length) scalar(in, 1, kSixAxis, factor, acc_axes, acc_scale, out);
+}
+
+constexpr Kernels kAvx2Kernels{tile_add,      tile_add_bwd,  bias_gelu,
+                               bias_gelu_bwd, layer_norm,    layer_norm_bwd,
+                               gru_cell,      gru_cell_bwd,  bias_act_quant,
+                               block_average};
 
 }  // namespace
 

@@ -4,7 +4,9 @@
 // it replaces (broadcast add, add + gelu, add + layer norm, the GRU gate
 // chain), in the same order — so forced-scalar fused results are
 // bit-identical to the composed references in tests/reference.hpp (tested in
-// tests/test_eltwise.cpp and tests/test_gru_cell.cpp).
+// tests/test_eltwise.cpp and tests/test_gru_cell.cpp). The block average is
+// pinned against the preprocessing oracle in tests/test_preprocess.cpp.
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/eltwise/gelu_math.hpp"
@@ -206,9 +208,45 @@ void bias_act_quant(const float* x, const float* t, bool gelu, float inv_scale,
   }
 }
 
-constexpr Kernels kScalarKernels{tile_add,  tile_add_bwd,  bias_gelu,
-                                 bias_gelu_bwd, layer_norm, layer_norm_bwd,
-                                 gru_cell, gru_cell_bwd, bias_act_quant};
+// Channels go in pairs with independent accumulators, so a row has several
+// dependency chains in flight while each channel keeps its own summation
+// order; an odd count ends in a scalar tail.
+void block_average(const float* in, std::int64_t out_length,
+                   std::int64_t channels, std::int64_t factor,
+                   std::int64_t acc_axes, float acc_scale, float* out) {
+  const auto divisor = static_cast<double>(factor);
+  for (std::int64_t t = 0; t < out_length;
+       ++t, in += factor * channels, out += channels) {
+    if (factor == 1) {
+      std::copy(in, in + channels, out);
+    } else {
+      std::int64_t c = 0;
+      for (; c + 1 < channels; c += 2) {
+        double acc0 = 0.0;
+        double acc1 = 0.0;
+        const float* p = in + c;
+        for (std::int64_t k = 0; k < factor; ++k, p += channels) {
+          acc0 += p[0];
+          acc1 += p[1];
+        }
+        out[c] = static_cast<float>(acc0 / divisor);
+        out[c + 1] = static_cast<float>(acc1 / divisor);
+      }
+      if (c < channels) {
+        double acc = 0.0;
+        const float* p = in + c;
+        for (std::int64_t k = 0; k < factor; ++k, p += channels) acc += *p;
+        out[c] = static_cast<float>(acc / divisor);
+      }
+    }
+    for (std::int64_t a = 0; a < acc_axes; ++a) out[a] *= acc_scale;
+  }
+}
+
+constexpr Kernels kScalarKernels{tile_add,      tile_add_bwd,  bias_gelu,
+                                 bias_gelu_bwd, layer_norm,    layer_norm_bwd,
+                                 gru_cell,      gru_cell_bwd,  bias_act_quant,
+                                 block_average};
 
 }  // namespace
 

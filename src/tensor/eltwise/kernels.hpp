@@ -18,7 +18,7 @@
 // forced-scalar fused results are bit-identical to the composed references
 // in tests/reference.hpp. The AVX2 kernel agrees with it only to rounding
 // (vectorized exp/tanh and lane-split reductions), mirroring the gemm kernel
-// contract.
+// contract; block_average is bit-identical on every kernel.
 #pragma once
 
 #include <algorithm>
@@ -106,6 +106,17 @@ struct Kernels {
                          float inv_scale, std::int32_t zero, std::int32_t qmax,
                          std::uint8_t* out, std::int64_t out_stride,
                          std::int64_t blocks, std::int64_t m);
+  /// Block-average down-sampling (data::preprocess_window, downsample):
+  /// output row t, channel c of the [out_length, channels] result is
+  /// float(sum over k < factor of in[(t * factor + k) * channels + c] /
+  /// double(factor)), the sum a double accumulated from 0.0 in k order; the
+  /// row's first acc_axes values are then multiplied by acc_scale in float.
+  /// Factor 1 copies instead (accumulating would turn -0.0 into +0.0). Every
+  /// kernel is bit-identical to the scalar one: the AVX2 body runs the same
+  /// IEEE operations in the same order per lane.
+  void (*block_average)(const float* in, std::int64_t out_length,
+                        std::int64_t channels, std::int64_t factor,
+                        std::int64_t acc_axes, float acc_scale, float* out);
 };
 
 /// Portable reference kernels; always available.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <string>
 
 #include "data/preprocess.hpp"
+#include "tensor/eltwise/eltwise.hpp"
 
 namespace saga::data {
 namespace {
@@ -335,32 +337,47 @@ std::vector<float> hostile_values(std::int64_t samples, std::int64_t channels,
 }
 
 TEST(PreprocessWindow, BitIdenticalToReferenceArithmetic) {
+  // The block average dispatches through the eltwise kernel table. Unforced,
+  // that must be the AVX2 kernel wherever it exists, or the comparison below
+  // would be scalar against scalar; SAGA_FORCE_SCALAR=1 (the
+  // test_preprocess_forced_scalar entry) runs it on the scalar kernel.
+  const std::vector<eltwise::Kernel> kernels = eltwise::available_kernels();
+  if (std::find(kernels.begin(), kernels.end(), eltwise::Kernel::kAvx2) !=
+      kernels.end()) {
+    EXPECT_EQ(eltwise::kernel_name(),
+              eltwise::kernel_name(eltwise::Kernel::kAvx2));
+  }
   // 3 and 7 channels end in the odd-channel tail, 9 adds the magnetometer.
+  // 13 output rows end in the AVX2 body's scalar tail row; 6 channels at
+  // factor 5 with 120 rows is the paper's window.
   for (const std::int64_t channels : {3, 6, 7, 9}) {
     for (const std::int64_t factor : {1, 2, 5, 10}) {
-      for (const double g : {1.0, 9.80665}) {
-        const double rate = 20.0 * static_cast<double>(factor);
-        const std::int64_t samples = 12 * factor;
-        const std::vector<float> raw = hostile_values(
-            samples, channels, factor,
-            static_cast<std::uint32_t>(channels * 100 + factor));
-        const std::string what = "channels " + std::to_string(channels) +
-                                 ", factor " + std::to_string(factor) +
-                                 ", g " + std::to_string(g);
-        const std::vector<float> want =
-            reference_preprocess(raw, channels, factor, g);
-        expect_same_bits(preprocess_window(raw, channels, rate, 20.0, g), want,
-                         "preprocess_window, " + what);
+      for (const std::int64_t rows : {12, 13, 120}) {
+        for (const double g : {1.0, 9.80665}) {
+          const double rate = 20.0 * static_cast<double>(factor);
+          const std::int64_t samples = rows * factor;
+          const std::vector<float> raw = hostile_values(
+              samples, channels, factor,
+              static_cast<std::uint32_t>(channels * 100 + factor));
+          const std::string what = "channels " + std::to_string(channels) +
+                                   ", factor " + std::to_string(factor) +
+                                   ", rows " + std::to_string(rows) +
+                                   ", g " + std::to_string(g);
+          const std::vector<float> want =
+              reference_preprocess(raw, channels, factor, g);
+          expect_same_bits(preprocess_window(raw, channels, rate, 20.0, g),
+                           want, "preprocess_window, " + what);
 
-        // The batch path: downsample the whole recording, then normalize.
-        Recording batch;
-        batch.channels = channels;
-        batch.sample_rate_hz = rate;
-        batch.values = raw;
-        batch = downsample(batch, 20.0);
-        normalize_accelerometer(batch, g);
-        if (channels >= 9) normalize_magnetometer(batch, 6);
-        expect_same_bits(batch.values, want, "downsample, " + what);
+          // The batch path: downsample the whole recording, then normalize.
+          Recording batch;
+          batch.channels = channels;
+          batch.sample_rate_hz = rate;
+          batch.values = raw;
+          batch = downsample(batch, 20.0);
+          normalize_accelerometer(batch, g);
+          if (channels >= 9) normalize_magnetometer(batch, 6);
+          expect_same_bits(batch.values, want, "downsample, " + what);
+        }
       }
     }
   }

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,13 +40,33 @@ TEST(SpscRing, SingleThreadPushPeekPop) {
   for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.push(i));
   EXPECT_FALSE(ring.push(99));  // full: rejected, not overwritten
   EXPECT_EQ(ring.size(), 8U);
-  EXPECT_EQ(ring.peek(0), 0);
-  EXPECT_EQ(ring.peek(7), 7);
+  const RingSpans<int> all = ring.peek(0, 8);
+  EXPECT_EQ(all.first.size(), 8U);  // nothing wrapped yet
+  EXPECT_TRUE(all.second.empty());
+  EXPECT_EQ(all[0], 0);
+  EXPECT_EQ(all[7], 7);
   ring.pop(3);
   EXPECT_EQ(ring.size(), 5U);
-  EXPECT_EQ(ring.peek(0), 3);   // pop advances the read side
-  EXPECT_TRUE(ring.push(8));    // freed slots are reusable (wraparound)
-  EXPECT_EQ(ring.peek(5), 8);
+  EXPECT_EQ(ring.peek(0, 1)[0], 3);  // pop advances the read side
+  EXPECT_TRUE(ring.push(8));         // freed slots are reusable (wraparound)
+  // [0, 6) now runs from slot 3 to the end and wraps to slot 0.
+  const RingSpans<int> wrapped = ring.peek(0, 6);
+  ASSERT_EQ(wrapped.first.size(), 5U);
+  ASSERT_EQ(wrapped.second.size(), 1U);
+  EXPECT_EQ(wrapped.first.front(), 3);
+  EXPECT_EQ(wrapped.second.front(), 8);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(wrapped[i], static_cast<int>(i) + 3);
+  }
+  // A sub-range inside the second span, and one straddling the wrap.
+  EXPECT_EQ(ring.peek(5, 1).first.front(), 8);
+  EXPECT_TRUE(ring.peek(5, 1).second.empty());
+  const RingSpans<int> straddle = wrapped.subspan(3, 3);
+  ASSERT_EQ(straddle.first.size(), 2U);
+  ASSERT_EQ(straddle.second.size(), 1U);
+  EXPECT_EQ(straddle[0], 6);
+  EXPECT_EQ(straddle[2], 8);
+  EXPECT_EQ(wrapped.subspan(5, 1)[0], 8);
   EXPECT_THROW(SpscRing<int>(0), std::invalid_argument);
   EXPECT_THROW(SpscRing<int>(std::size_t{1} << 62), std::invalid_argument);
 }
@@ -78,8 +100,13 @@ TEST(SpscRing, ProducerConsumerThreadsDeliverInOrder) {
       std::this_thread::yield();
       continue;
     }
-    for (std::size_t i = 0; i < available; ++i) {
-      if (ring.peek(i) != expected + i) ++mismatches;
+    const RingSpans<std::uint64_t> values = ring.peek(0, available);
+    std::uint64_t next = expected;
+    for (const std::span<const std::uint64_t> run :
+         {values.first, values.second}) {
+      for (const std::uint64_t value : run) {
+        if (value != next++) ++mismatches;
+      }
     }
     ring.pop(available);
     expected += available;
@@ -154,6 +181,71 @@ TEST(Session, HopWindowsAreBitIdenticalToOfflineSlicing) {
   EXPECT_EQ(session.poll().size(), 0U);  // nothing new: nothing sealed
   // 12 hops consumed 240 samples; the assembling tail stays buffered.
   EXPECT_EQ(session.buffered(), 20U);
+}
+
+TEST(Session, WindowsAndGapsAcrossTheRingWrapAreBitIdentical) {
+  // A 64-slot ring under a 40-sample raw window (hop 20), fed 7 samples at a
+  // time with a poll after each, so the read index laps the ring: window k
+  // starting at sample s occupies slots s % 64 .. and wraps when
+  // s % 64 > 24, and the 1 s timestamp gap sits between sample 127 (slot
+  // 63) and sample 128 (slot 0), the first value of a poll's second span.
+  // No other window test wraps a window around its ring.
+  SessionConfig config = small_config();
+  config.ring_capacity = 64;
+  Session session("u1", config);
+  ASSERT_EQ(session.raw_window(), 40);
+  ASSERT_EQ(session.raw_hop(), 20);
+
+  constexpr std::int64_t kTotal = 300;
+  constexpr std::int64_t kGapAt = 128;
+  constexpr std::int64_t kChunk = 7;
+  std::vector<float> offline;
+  std::vector<std::int64_t> ts;
+  std::vector<SealedWindow> windows;
+  for (std::int64_t i = 0; i < kTotal; ++i) {
+    Sample sample = make_sample(i);
+    if (i >= kGapAt) sample.ts_us += 1'000'000;
+    // A poll leaves under one raw window buffered, so 7 more always fit.
+    ASSERT_TRUE(session.push(sample)) << "sample " << i;
+    offline.insert(offline.end(), sample.v.begin(), sample.v.end());
+    ts.push_back(sample.ts_us);
+    if (i % kChunk == kChunk - 1 || i == kTotal - 1) {
+      for (SealedWindow& w : session.poll()) windows.push_back(std::move(w));
+    }
+  }
+
+  // Closed form: a gap-free run of L samples from sample b seals
+  // floor((L - 40) / 20) + 1 windows, starting at b, b + 20, ...
+  std::vector<std::int64_t> starts;
+  for (const auto& [first, length] :
+       {std::pair<std::int64_t, std::int64_t>{0, kGapAt},
+        std::pair<std::int64_t, std::int64_t>{kGapAt, kTotal - kGapAt}}) {
+    for (std::int64_t k = 0; k < (length - 40) / 20 + 1; ++k) {
+      starts.push_back(first + 20 * k);
+    }
+  }
+  ASSERT_EQ(starts.size(), 12U);  // 5 before the gap, 7 after
+  ASSERT_EQ(windows.size(), starts.size());
+  std::size_t wrapped = 0;
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const SealedWindow& w = windows[k];
+    const auto start = static_cast<std::size_t>(starts[k]);
+    wrapped += start % 64 > 24 ? 1 : 0;
+    EXPECT_EQ(w.seq, k);
+    EXPECT_EQ(w.start_ts_us, ts[start]);
+    EXPECT_EQ(w.end_ts_us, ts[start + 39]);
+    ASSERT_EQ(w.raw.size(), 40U * 6U);
+    EXPECT_EQ(std::memcmp(w.raw.data(), offline.data() + start * 6,
+                          w.raw.size() * sizeof(float)),
+              0)
+        << "window " << k << " starting at sample " << start;
+  }
+  EXPECT_EQ(wrapped, 6U);  // starts 40, 60, 168, 188, 228 and 248
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.gaps, 1U);
+  EXPECT_EQ(stats.windows_sealed, starts.size());
+  EXPECT_EQ(stats.samples_accepted, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(stats.samples_dropped, 0U);
 }
 
 TEST(Session, TumblingWindowsWhenHopEqualsLength) {
@@ -762,6 +854,8 @@ TEST_F(StreamE2E, ReplayThroughEngineAndComposerIsDeterministic) {
   EXPECT_EQ(first.manager.samples_dropped, 0U);
   EXPECT_EQ(first.samples_replayed, 6000U);
   EXPECT_EQ(first.latency.latencies_ms.size(), first.manager.events);
+  EXPECT_EQ(first.latency.latency_hist.count(),
+            first.latency.latencies_ms.size());
   EXPECT_GT(first.manager.events, 0U);
 
   ASSERT_EQ(first.events.size(), second.events.size());
