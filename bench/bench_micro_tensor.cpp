@@ -2,6 +2,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "nn/attention.hpp"
 #include "models/classifier.hpp"
 #include "nn/gru.hpp"
+#include "stream/session.hpp"
 #include "tensor/attention_fused.hpp"
 #include "tensor/eltwise/eltwise.hpp"
 #include "tensor/gemm/gemm_s8.hpp"
@@ -342,6 +344,68 @@ void register_preprocess_rows() {
         ->UseRealTime();
   }
 }
+
+// ---- stream ring -----------------------------------------------------------
+// One window of stream::Session work at perfbench's `paper` geometry: 16
+// sessions (100 Hz sources, 120-sample windows at 20 Hz, hop 60, 900-slot
+// rings), primed with all but the last hop of a window. Each iteration
+// pushes one 300-sample hop into the next session, round-robin, and polls
+// the window it completes. Before its push, the iteration moves that hop's
+// timestamps one hop on (300 adds, also timed), so every session's stream
+// stays gap-free and in order however many iterations run.
+
+void BM_StreamWindow(benchmark::State& state) {
+  constexpr std::size_t kSessions = 16;
+  constexpr std::int64_t kPeriodUs = 10000;  // 100 Hz
+  stream::SessionConfig config;
+  config.window_length = 120;
+  config.hop = 60;
+  config.source_rate_hz = 100.0;
+  config.target_hz = 20.0;
+  config.ring_capacity = 900;
+  std::vector<std::unique_ptr<stream::Session>> sessions;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    sessions.push_back(std::make_unique<stream::Session>("s", config));
+  }
+  const std::int64_t hop = sessions.front()->raw_hop();        // 300
+  const std::int64_t window = sessions.front()->raw_window();  // 600
+  // The last hop of each session's first window is kept, one hop back.
+  util::Rng rng(17);
+  std::vector<std::vector<stream::Sample>> hops(kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    for (std::int64_t j = 0; j < window; ++j) {
+      stream::Sample sample;
+      sample.ts_us = j * kPeriodUs;
+      for (float& v : sample.v) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+      if (j < window - hop) {
+        sessions[i]->push(sample);
+      } else {
+        sample.ts_us -= hop * kPeriodUs;
+        hops[i].push_back(sample);
+      }
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    stream::Session& session = *sessions[next];
+    std::vector<stream::Sample>& samples = hops[next];
+    next = (next + 1) % kSessions;
+    for (stream::Sample& sample : samples) sample.ts_us += hop * kPeriodUs;
+    for (const stream::Sample& sample : samples) session.push(sample);
+    std::vector<stream::SealedWindow> sealed = session.poll();
+    benchmark::DoNotOptimize(sealed.data());
+    benchmark::ClobberMemory();
+  }
+  std::uint64_t windows = 0;
+  for (const auto& session : sessions) {
+    windows += session->stats().windows_sealed;
+  }
+  if (windows != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a hop sealed no window");
+  }
+  state.SetItemsProcessed(state.iterations() * hop);
+}
+BENCHMARK(BM_StreamWindow)->Name("BM_StreamWindow/paper")->UseRealTime();
 
 }  // namespace
 

@@ -26,6 +26,10 @@
 #                                 block-average kernel's pointer arithmetic
 #                                 over a caller's span are where
 #                                 use-after-free/overflow bugs would hide
+#
+# Both sanitizer presets also run the pinned-kernel ctest entries of the
+# suites they build (<suite>_forced_scalar, test_quant_forced_7bit), so the
+# scalar kernels and the 7-bit int8 serve path run under them too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -49,7 +53,7 @@ elif [[ "${1:-}" == "--tsan" ]]; then
   cd "$BUILD_DIR"
   ./gemm_info
   ctest --output-on-failure \
-    -R "^($(IFS='|'; echo "${TSAN_TARGETS[*]}"))\$"
+    -R "^($(IFS='|'; echo "${TSAN_TARGETS[*]}"))(_forced_[a-z0-9_]+)?\$"
   exit 0
 elif [[ "${1:-}" == "--asan" ]]; then
   BUILD_DIR=build-asan
@@ -60,7 +64,7 @@ elif [[ "${1:-}" == "--asan" ]]; then
   cd "$BUILD_DIR"
   ./gemm_info
   ctest --output-on-failure \
-    -R "^($(IFS='|'; echo "${ASAN_TARGETS[*]}"))\$"
+    -R "^($(IFS='|'; echo "${ASAN_TARGETS[*]}"))(_forced_[a-z0-9_]+)?\$"
   exit 0
 else
   cmake -B "$BUILD_DIR" -S .

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -54,6 +54,30 @@ std::int64_t gap_limit_us(const SessionConfig& config) {
   return static_cast<std::int64_t>(limit);
 }
 
+// The length of the gap-free prefix of `run`: the samples before the first
+// one more than `limit` after its predecessor (`prev` for run[0]). On
+// return `prev` holds the prefix's last timestamp, unchanged if it is
+// empty. Blocks of eight go by with their eight comparisons folded into one
+// test, so a gap-free block takes no branch per sample; the block that holds
+// a gap, and the last few samples, go one at a time to find where it is.
+std::size_t gap_free_prefix(std::span<const std::int64_t> run,
+                            std::int64_t& prev, std::int64_t limit) noexcept {
+  constexpr std::size_t kBlock = 8;
+  const std::int64_t* const ts = run.data();
+  const std::size_t n = run.size();
+  std::size_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    bool gap = ts[i] - prev > limit;
+    for (std::size_t k = 1; k < kBlock; ++k) {
+      gap |= ts[i + k] - ts[i + k - 1] > limit;
+    }
+    if (gap) break;
+    prev = ts[i + kBlock - 1];
+  }
+  for (; i < n && ts[i] - prev <= limit; ++i) prev = ts[i];
+  return i;
+}
+
 }  // namespace
 
 Session::Session(std::string id, const SessionConfig& config)
@@ -61,7 +85,8 @@ Session::Session(std::string id, const SessionConfig& config)
       config_(checked(config)),
       factor_(data::decimation_factor(config.source_rate_hz, config.target_hz)),
       // hop <= window_length, so the raw hop fits whenever the raw window
-      // does; the ring rejects a capacity its slot vector cannot hold.
+      // does; the ring rejects a capacity above SpscRing::kMaxCapacity
+      // before it allocates.
       raw_window_(checked_product(config.window_length, factor_, "raw window")),
       raw_hop_(config.hop * factor_),
       gap_limit_us_(gap_limit_us(config)),
@@ -84,59 +109,53 @@ std::vector<SealedWindow> Session::poll() {
   // the read index at entry, `begin` is where the window under assembly
   // starts, and the ring is released up to it once, on the way out.
   const std::size_t available = ring_.size();
-  const RingSpans<Sample> pending = ring_.peek(0, available);
+  const RingSlots pending = ring_.peek(0, available);
   const auto window_size = static_cast<std::size_t>(raw_window_);
   const auto hop = static_cast<std::size_t>(raw_hop_);
+  constexpr auto kRow = static_cast<std::size_t>(kStreamChannels);
   std::size_t begin = 0;
   std::size_t pos = scan_;
   // The stream's first sample has no predecessor; compared with itself it
   // passes every (positive) gap limit.
   if (pos < available && !have_prev_ts_) {
-    prev_ts_ = pending[pos].ts_us;
+    prev_ts_ = pending.ts[pos];
     have_prev_ts_ = true;
   }
   std::int64_t prev_ts = prev_ts_;
   while (pos < available) {
-    // Gap-check one contiguous run, up to the sample that completes the
-    // window, the newest sample or the end of the slot array.
-    const std::span<const Sample> run =
-        pending.subspan(pos, std::min(available, begin + window_size) - pos)
+    // Gap-check one contiguous run of timestamps, up to the sample that
+    // completes the window, the newest sample or the end of the column.
+    const std::span<const std::int64_t> run =
+        pending.ts
+            .subspan(pos, std::min(available, begin + window_size) - pos)
             .first;
-    const Sample* sample = run.data();
-    const Sample* const end = sample + run.size();
-    for (; sample != end && sample->ts_us - prev_ts <= gap_limit_us_;
-         ++sample) {
-      prev_ts = sample->ts_us;
-    }
-    pos += static_cast<std::size_t>(sample - run.data());
-    if (sample != end) {
+    const std::size_t clean = gap_free_prefix(run, prev_ts, gap_limit_us_);
+    pos += clean;
+    if (clean != run.size()) {
       // Gap: the samples before it can never complete a window that the
       // post-gap samples may join — discard the partial window and restart
       // assembly at the post-gap sample.
-      gaps_.fetch_add(1, std::memory_order_relaxed);
+      count(gaps_);
       begin = pos;
-      prev_ts = sample->ts_us;
+      prev_ts = run[clean];
       ++pos;
     }
     if (pos - begin == window_size) {
-      // Window complete: the first (and only) copy of these samples.
+      // Window complete: the first (and only) copy of these samples, as at
+      // most two range copies out of the value column.
       SealedWindow window;
       window.seq = next_seq_++;
-      window.start_ts_us = pending[begin].ts_us;
+      window.start_ts_us = pending.ts[begin];
       window.end_ts_us = prev_ts;
-      window.raw.resize(window_size *
-                        static_cast<std::size_t>(kStreamChannels));
-      float* out = window.raw.data();
-      const RingSpans<Sample> samples = pending.subspan(begin, window_size);
-      for (const std::span<const Sample> part :
-           {samples.first, samples.second}) {
-        for (const Sample& s : part) {
-          std::memcpy(out, s.v.data(), sizeof(Sample::v));
-          out += kStreamChannels;
-        }
-      }
+      const RingSpans<float> rows =
+          pending.values.subspan(begin * kRow, window_size * kRow);
+      window.raw.reserve(window_size * kRow);
+      window.raw.insert(window.raw.end(), rows.first.begin(),
+                        rows.first.end());
+      window.raw.insert(window.raw.end(), rows.second.begin(),
+                        rows.second.end());
       sealed.push_back(std::move(window));
-      windows_sealed_.fetch_add(1, std::memory_order_relaxed);
+      count(windows_sealed_);
       // Advance one hop; the window-minus-hop overlap stays in the ring
       // (uncopied) as the head of the next window.
       begin += hop;

@@ -4,23 +4,30 @@
 // by the SessionManager's pump thread.
 //
 // Windowing happens *in the ring*: the consumer scans arriving samples in
-// place (SpscRing::peek, at most two contiguous spans per poll) and copies
-// nothing until `window_length × factor` consecutive samples are present, at
-// which point one SealedWindow is copied out and the read index advances by
-// `hop × factor` — so overlapping windows share their overlap through the
-// ring, not through duplicated buffers. The factor is
+// place (SpscRing::peek, at most two contiguous spans per column per poll)
+// and copies nothing until `window_length × factor` consecutive samples are
+// present, at which point one SealedWindow is copied out and the read index
+// advances by `hop × factor` — so overlapping windows share their overlap
+// through the ring, not through duplicated buffers. The ring keeps
+// timestamps and values in separate columns, so the gap scan reads only the
+// dense timestamp column, and a sealed window's rows leave as one flat float
+// range (two when the window wraps the ring). The factor is
 // data::decimation_factor(source_rate_hz, target_hz): a session
 // assembles windows in the *source-rate* domain so that the shared
 // data::preprocess_window() entry point downsamples each sealed window to
 // exactly `window_length` model samples.
 //
-// Robustness contract (ISSUE: tolerate out-of-order/dropped samples):
-//   ring full at push        sample dropped, `samples_dropped` counted; the
-//                            producer NEVER blocks.
+// Robustness contract (out-of-order and dropped samples are tolerated):
 //   non-monotonic timestamp  rejected at push, `out_of_order` counted — the
 //                            ring therefore always holds strictly increasing
 //                            timestamps, which is what lets windows be
-//                            contiguous ring ranges.
+//                            contiguous ring ranges. A sample is compared
+//                            with the ring's newest (last accepted)
+//                            timestamp, never with a rejected one.
+//   ring full at push        sample dropped, `samples_dropped` counted; the
+//                            producer NEVER blocks. (Checked second: an
+//                            out-of-order sample counts as out-of-order
+//                            whether or not the ring is full.)
 //   timestamp gap            consumer-side: a jump > gap_tolerance × the
 //                            nominal sample period discards the partial
 //                            window before the gap (`gaps` counted) and
@@ -29,7 +36,9 @@
 //
 // Threading: push() from exactly one producer thread, poll() from exactly
 // one consumer thread, stats() from anywhere (atomic counters and the ring's
-// head index).
+// head index). Each counter has one writer — the producer counts drops and
+// out-of-order samples, the consumer gaps and sealed windows — so a count is
+// a relaxed load and store, not a locked add.
 #pragma once
 
 #include <array>
@@ -41,11 +50,6 @@
 #include "stream/spsc_ring.hpp"
 
 namespace saga::stream {
-
-/// Fixed 6-axis channel layout (acc xyz + gyro xyz), matching the
-/// Action_Detector-style `ts_us,ax,ay,az,gx,gy,gz` capture format and the
-/// paper's 6-channel datasets.
-inline constexpr std::int64_t kStreamChannels = 6;
 
 /// One timestamped IMU reading.
 struct Sample {
@@ -68,7 +72,8 @@ struct SessionConfig {
   /// (1e6 / source_rate_hz µs) is a gap.
   double gap_tolerance = 2.5;
   /// Ring capacity in samples (rounded up to a power of two); 0 = auto
-  /// (4 × the raw window). Must fit at least one raw window.
+  /// (4 × the raw window). Must fit at least one raw window, and at most
+  /// SpscRing::kMaxCapacity samples (1 GiB).
   std::size_t ring_capacity = 0;
 };
 
@@ -132,11 +137,7 @@ class Session {
   std::int64_t raw_hop_ = 0;
   std::int64_t gap_limit_us_ = 0;
 
-  SpscRing<Sample> ring_;
-
-  // Producer-owned (single producer, no sharing).
-  std::int64_t last_push_ts_ = 0;
-  bool have_push_ts_ = false;
+  SpscRing ring_;
 
   // Consumer-owned scan state, kept between polls: samples [0, scan_)
   // relative to the ring's read index have been gap-checked, and the window
@@ -146,29 +147,38 @@ class Session {
   bool have_prev_ts_ = false;
   std::uint64_t next_seq_ = 0;
 
-  // Cross-thread counters. samples_accepted is the ring's head index
+  // Cross-thread counters, each with one writer thread (named below), which
+  // adds with count(). samples_accepted is the ring's head index
   // (SpscRing::pushed), so an accepted push pays no counter update.
-  std::atomic<std::uint64_t> samples_dropped_{0};
-  std::atomic<std::uint64_t> out_of_order_{0};
-  std::atomic<std::uint64_t> gaps_{0};
-  std::atomic<std::uint64_t> windows_sealed_{0};
+  std::atomic<std::uint64_t> samples_dropped_{0};  // producer
+  std::atomic<std::uint64_t> out_of_order_{0};     // producer
+  std::atomic<std::uint64_t> gaps_{0};             // consumer
+  std::atomic<std::uint64_t> windows_sealed_{0};   // consumer
+
+  // Adds one to a counter that only the calling thread writes: a relaxed
+  // load and store, where a fetch_add would be a locked instruction. Other
+  // threads still read every value whole.
+  static void count(std::atomic<std::uint64_t>& counter) noexcept {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  }
 };
 
 inline bool Session::push(const Sample& sample) noexcept {
-  // Monotonicity filter at the source: rejecting non-increasing timestamps
-  // here (instead of in the consumer) keeps the ring's content strictly
-  // ordered, so a window is always a contiguous ring range.
-  if (have_push_ts_ && sample.ts_us <= last_push_ts_) {
-    out_of_order_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+  // The ring rejects a timestamp not above its newest one before it checks
+  // for room, so the ring's content stays strictly ordered and a window is
+  // always a contiguous ring range.
+  switch (ring_.push(sample.ts_us, sample.v.data())) {
+    case SpscRing::Push::kAccepted:
+      return true;
+    case SpscRing::Push::kOutOfOrder:
+      count(out_of_order_);
+      return false;
+    case SpscRing::Push::kFull:
+      count(samples_dropped_);
+      return false;
   }
-  if (!ring_.push(sample)) {
-    samples_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  last_push_ts_ = sample.ts_us;
-  have_push_ts_ = true;
-  return true;
+  return false;
 }
 
 }  // namespace saga::stream

@@ -6,6 +6,7 @@
 // run that must be deterministic across two replays.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -33,58 +34,106 @@ namespace {
 
 // ---- SPSC ring ----------------------------------------------------------
 
+/// The row a ring test pushes with timestamp `ts`: every value derives from
+/// the timestamp, so a row read beside the wrong timestamp shows.
+std::array<float, kStreamChannels> ring_row(std::int64_t ts) {
+  std::array<float, kStreamChannels> row{};
+  for (std::size_t c = 0; c < row.size(); ++c) {
+    row[c] = static_cast<float>(ts * 8 + static_cast<std::int64_t>(c));
+  }
+  return row;
+}
+
+/// Whether slot j of `slots` holds timestamp `ts` and ring_row(ts).
+bool slot_holds(const RingSlots& slots, std::size_t j, std::int64_t ts) {
+  const auto row = ring_row(ts);
+  bool same = slots.ts[j] == ts;
+  for (std::size_t c = 0; c < row.size(); ++c) {
+    same = same && slots.values[j * row.size() + c] == row[c];
+  }
+  return same;
+}
+
 TEST(SpscRing, SingleThreadPushPeekPop) {
-  SpscRing<int> ring(5);  // rounds up to 8
+  using Push = SpscRing::Push;
+  SpscRing ring(5);  // rounds up to 8
   EXPECT_EQ(ring.capacity(), 8U);
   EXPECT_EQ(ring.size(), 0U);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.push(i));
-  EXPECT_FALSE(ring.push(99));  // full: rejected, not overwritten
+  for (std::int64_t t = 0; t < 8; ++t) {
+    EXPECT_EQ(ring.push(t, ring_row(t).data()), Push::kAccepted);
+  }
+  // Full: rejected, not overwritten. A timestamp not above the newest one
+  // is out of order first, full or not.
+  EXPECT_EQ(ring.push(99, ring_row(99).data()), Push::kFull);
+  EXPECT_EQ(ring.push(7, ring_row(7).data()), Push::kOutOfOrder);
   EXPECT_EQ(ring.size(), 8U);
-  const RingSpans<int> all = ring.peek(0, 8);
-  EXPECT_EQ(all.first.size(), 8U);  // nothing wrapped yet
-  EXPECT_TRUE(all.second.empty());
-  EXPECT_EQ(all[0], 0);
-  EXPECT_EQ(all[7], 7);
+  EXPECT_EQ(ring.pushed(), 8U);
+  const RingSlots all = ring.peek(0, 8);
+  EXPECT_EQ(all.ts.first.size(), 8U);  // nothing wrapped yet
+  EXPECT_TRUE(all.ts.second.empty());
+  EXPECT_EQ(all.values.first.size(), 8U * 6U);  // counted in floats
+  EXPECT_TRUE(all.values.second.empty());
+  EXPECT_TRUE(slot_holds(all, 0, 0));
+  EXPECT_TRUE(slot_holds(all, 7, 7));
   ring.pop(3);
   EXPECT_EQ(ring.size(), 5U);
-  EXPECT_EQ(ring.peek(0, 1)[0], 3);  // pop advances the read side
-  EXPECT_TRUE(ring.push(8));         // freed slots are reusable (wraparound)
-  // [0, 6) now runs from slot 3 to the end and wraps to slot 0.
-  const RingSpans<int> wrapped = ring.peek(0, 6);
-  ASSERT_EQ(wrapped.first.size(), 5U);
-  ASSERT_EQ(wrapped.second.size(), 1U);
-  EXPECT_EQ(wrapped.first.front(), 3);
-  EXPECT_EQ(wrapped.second.front(), 8);
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(wrapped[i], static_cast<int>(i) + 3);
+  EXPECT_TRUE(slot_holds(ring.peek(0, 1), 0, 3));  // pop advances the read side
+  // Freed slots are reusable (wraparound); the out-of-order check still
+  // reads the newest timestamp, now in the last slot.
+  EXPECT_EQ(ring.push(7, ring_row(7).data()), Push::kOutOfOrder);
+  EXPECT_EQ(ring.push(8, ring_row(8).data()), Push::kAccepted);
+  // [0, 6) now runs from slot 3 to the end and wraps to slot 0, in both
+  // columns at the same slot.
+  const RingSlots wrapped = ring.peek(0, 6);
+  ASSERT_EQ(wrapped.ts.first.size(), 5U);
+  ASSERT_EQ(wrapped.ts.second.size(), 1U);
+  ASSERT_EQ(wrapped.values.first.size(), 5U * 6U);
+  ASSERT_EQ(wrapped.values.second.size(), 1U * 6U);
+  EXPECT_EQ(wrapped.ts.first.front(), 3);
+  EXPECT_EQ(wrapped.ts.second.front(), 8);
+  EXPECT_EQ(wrapped.values.second.front(), ring_row(8)[0]);
+  for (std::size_t j = 0; j < 6; ++j) {
+    EXPECT_TRUE(slot_holds(wrapped, j, static_cast<std::int64_t>(j) + 3))
+        << "slot " << j;
   }
   // A sub-range inside the second span, and one straddling the wrap.
-  EXPECT_EQ(ring.peek(5, 1).first.front(), 8);
-  EXPECT_TRUE(ring.peek(5, 1).second.empty());
-  const RingSpans<int> straddle = wrapped.subspan(3, 3);
+  EXPECT_EQ(ring.peek(5, 1).ts.first.front(), 8);
+  EXPECT_TRUE(ring.peek(5, 1).ts.second.empty());
+  EXPECT_TRUE(ring.peek(5, 1).values.second.empty());
+  const RingSpans<std::int64_t> straddle = wrapped.ts.subspan(3, 3);
   ASSERT_EQ(straddle.first.size(), 2U);
   ASSERT_EQ(straddle.second.size(), 1U);
   EXPECT_EQ(straddle[0], 6);
   EXPECT_EQ(straddle[2], 8);
-  EXPECT_EQ(wrapped.subspan(5, 1)[0], 8);
-  EXPECT_THROW(SpscRing<int>(0), std::invalid_argument);
-  EXPECT_THROW(SpscRing<int>(std::size_t{1} << 62), std::invalid_argument);
+  EXPECT_EQ(wrapped.ts.subspan(5, 1)[0], 8);
+  // The same rows as floats: slots 3..5 of the range are floats 18..35.
+  const RingSpans<float> rows = wrapped.values.subspan(3 * 6, 3 * 6);
+  ASSERT_EQ(rows.first.size(), 2U * 6U);
+  ASSERT_EQ(rows.second.size(), 1U * 6U);
+  EXPECT_EQ(rows[0], ring_row(6)[0]);
+  EXPECT_EQ(rows[17], ring_row(8)[5]);
+  EXPECT_THROW(SpscRing(0), std::invalid_argument);
+  EXPECT_THROW(SpscRing(SpscRing::kMaxCapacity + 1), std::invalid_argument);
+  EXPECT_THROW(SpscRing(std::size_t{1} << 62), std::invalid_argument);
 }
 
 TEST(SpscRing, ProducerConsumerThreadsDeliverInOrder) {
   // The memory-model test: one real producer thread racing one real
-  // consumer thread through a small ring. Every value must arrive exactly
-  // once, in order, with its payload intact — and TSan must see no race
-  // (this test is in the scripts/check.sh --tsan suite for that reason).
-  constexpr std::uint64_t kCount = 100000;
-  SpscRing<std::uint64_t> ring(64);
-  std::atomic<std::uint64_t> produced{0};
+  // consumer thread through a small ring. Every slot must arrive exactly
+  // once, in order, with its row intact — each of its six values derives
+  // from its timestamp, so a row published apart from its timestamp fails —
+  // and TSan must see no race (this test is in the scripts/check.sh --tsan
+  // suite for that reason).
+  constexpr std::int64_t kCount = 100000;
+  SpscRing ring(64);
+  std::atomic<std::int64_t> produced{0};
 
   std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!ring.push(i)) {
+    for (std::int64_t t = 0; t < kCount; ++t) {
+      const auto row = ring_row(t);
+      while (ring.push(t, row.data()) != SpscRing::Push::kAccepted) {
         // Full: yield and retry. A real producer would drop; the test must
-        // not, so every value's arrival can be asserted. (yield, not spin:
+        // not, so every slot's arrival can be asserted. (yield, not spin:
         // on a single-core host a raw spin burns whole scheduler quanta.)
         std::this_thread::yield();
       }
@@ -92,7 +141,7 @@ TEST(SpscRing, ProducerConsumerThreadsDeliverInOrder) {
     }
   });
 
-  std::uint64_t expected = 0;
+  std::int64_t expected = 0;
   std::uint64_t mismatches = 0;
   while (expected < kCount) {
     const std::size_t available = ring.size();
@@ -100,16 +149,14 @@ TEST(SpscRing, ProducerConsumerThreadsDeliverInOrder) {
       std::this_thread::yield();
       continue;
     }
-    const RingSpans<std::uint64_t> values = ring.peek(0, available);
-    std::uint64_t next = expected;
-    for (const std::span<const std::uint64_t> run :
-         {values.first, values.second}) {
-      for (const std::uint64_t value : run) {
-        if (value != next++) ++mismatches;
+    const RingSlots slots = ring.peek(0, available);
+    for (std::size_t j = 0; j < available; ++j) {
+      if (!slot_holds(slots, j, expected + static_cast<std::int64_t>(j))) {
+        ++mismatches;
       }
     }
     ring.pop(available);
-    expected += available;
+    expected += static_cast<std::int64_t>(available);
   }
   producer.join();
 
@@ -140,6 +187,46 @@ Sample make_sample(std::int64_t index, std::int64_t period_us = 10000) {
         static_cast<float>(index) + 0.125F * static_cast<float>(c + 1);
   }
   return sample;
+}
+
+/// Window starts by the closed form: a gap-free run of `length` samples from
+/// sample `first` seals floor((length - window) / hop) + 1 windows (none if
+/// it is shorter than a window), starting at first, first + hop, ...
+std::vector<std::int64_t> closed_form_starts(
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& runs,
+    std::int64_t window, std::int64_t hop) {
+  std::vector<std::int64_t> starts;
+  for (const auto& [first, length] : runs) {
+    if (length < window) continue;
+    for (std::int64_t k = 0; k < (length - window) / hop + 1; ++k) {
+      starts.push_back(first + hop * k);
+    }
+  }
+  return starts;
+}
+
+/// Expects `windows` to be the 40-sample raw windows of `stream` (the
+/// accepted samples, in push order) that start at `starts`: in order, bit
+/// for bit, with their seq and first and last timestamps.
+void expect_windows_at(const std::vector<SealedWindow>& windows,
+                       const std::vector<std::int64_t>& starts,
+                       const std::vector<Sample>& stream) {
+  ASSERT_EQ(windows.size(), starts.size());
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const SealedWindow& w = windows[k];
+    const auto start = static_cast<std::size_t>(starts[k]);
+    EXPECT_EQ(w.seq, k);
+    EXPECT_EQ(w.start_ts_us, stream[start].ts_us);
+    EXPECT_EQ(w.end_ts_us, stream[start + 39].ts_us);
+    ASSERT_EQ(w.raw.size(), 40U * 6U);
+    for (std::size_t i = 0; i < 40; ++i) {
+      EXPECT_EQ(std::memcmp(w.raw.data() + i * 6, stream[start + i].v.data(),
+                            sizeof(Sample::v)),
+                0)
+          << "window " << k << " starting at sample " << start << ", row "
+          << i;
+    }
+  }
 }
 
 TEST(Session, HopWindowsAreBitIdenticalToOfflineSlicing) {
@@ -189,7 +276,6 @@ TEST(Session, WindowsAndGapsAcrossTheRingWrapAreBitIdentical) {
   // starting at sample s occupies slots s % 64 .. and wraps when
   // s % 64 > 24, and the 1 s timestamp gap sits between sample 127 (slot
   // 63) and sample 128 (slot 0), the first value of a poll's second span.
-  // No other window test wraps a window around its ring.
   SessionConfig config = small_config();
   config.ring_capacity = 64;
   Session session("u1", config);
@@ -199,53 +285,70 @@ TEST(Session, WindowsAndGapsAcrossTheRingWrapAreBitIdentical) {
   constexpr std::int64_t kTotal = 300;
   constexpr std::int64_t kGapAt = 128;
   constexpr std::int64_t kChunk = 7;
-  std::vector<float> offline;
-  std::vector<std::int64_t> ts;
+  std::vector<Sample> stream;
   std::vector<SealedWindow> windows;
   for (std::int64_t i = 0; i < kTotal; ++i) {
     Sample sample = make_sample(i);
     if (i >= kGapAt) sample.ts_us += 1'000'000;
     // A poll leaves under one raw window buffered, so 7 more always fit.
     ASSERT_TRUE(session.push(sample)) << "sample " << i;
-    offline.insert(offline.end(), sample.v.begin(), sample.v.end());
-    ts.push_back(sample.ts_us);
+    stream.push_back(sample);
     if (i % kChunk == kChunk - 1 || i == kTotal - 1) {
       for (SealedWindow& w : session.poll()) windows.push_back(std::move(w));
     }
   }
 
-  // Closed form: a gap-free run of L samples from sample b seals
-  // floor((L - 40) / 20) + 1 windows, starting at b, b + 20, ...
-  std::vector<std::int64_t> starts;
-  for (const auto& [first, length] :
-       {std::pair<std::int64_t, std::int64_t>{0, kGapAt},
-        std::pair<std::int64_t, std::int64_t>{kGapAt, kTotal - kGapAt}}) {
-    for (std::int64_t k = 0; k < (length - 40) / 20 + 1; ++k) {
-      starts.push_back(first + 20 * k);
-    }
-  }
+  const std::vector<std::int64_t> starts =
+      closed_form_starts({{0, kGapAt}, {kGapAt, kTotal - kGapAt}}, 40, 20);
   ASSERT_EQ(starts.size(), 12U);  // 5 before the gap, 7 after
-  ASSERT_EQ(windows.size(), starts.size());
+  expect_windows_at(windows, starts, stream);
   std::size_t wrapped = 0;
-  for (std::size_t k = 0; k < windows.size(); ++k) {
-    const SealedWindow& w = windows[k];
-    const auto start = static_cast<std::size_t>(starts[k]);
-    wrapped += start % 64 > 24 ? 1 : 0;
-    EXPECT_EQ(w.seq, k);
-    EXPECT_EQ(w.start_ts_us, ts[start]);
-    EXPECT_EQ(w.end_ts_us, ts[start + 39]);
-    ASSERT_EQ(w.raw.size(), 40U * 6U);
-    EXPECT_EQ(std::memcmp(w.raw.data(), offline.data() + start * 6,
-                          w.raw.size() * sizeof(float)),
-              0)
-        << "window " << k << " starting at sample " << start;
-  }
+  for (const std::int64_t start : starts) wrapped += start % 64 > 24 ? 1 : 0;
   EXPECT_EQ(wrapped, 6U);  // starts 40, 60, 168, 188, 228 and 248
   const SessionStats stats = session.stats();
   EXPECT_EQ(stats.gaps, 1U);
   EXPECT_EQ(stats.windows_sealed, starts.size());
   EXPECT_EQ(stats.samples_accepted, static_cast<std::uint64_t>(kTotal));
   EXPECT_EQ(stats.samples_dropped, 0U);
+}
+
+TEST(Session, GapAtEachOffsetOfTheBlockScanIsFound) {
+  // The gap scan compares eight timestamps per step and walks one sample at
+  // a time only through a block that holds a gap. Tumbling 40-sample raw
+  // windows in a 64-slot ring: once the first window seals, the next starts
+  // at slot 40, and a 1 s gap before its sample g (g = 1..24) takes every
+  // position of the first three 8-sample blocks of the next poll's scan —
+  // g = 8 and 16 are a block's first sample, compared with the previous
+  // block's last; g = 7, 15 and 23 its last — and g = 24 sits in slot 0,
+  // the first timestamp of the snapshot's second span.
+  for (std::int64_t g = 1; g <= 24; ++g) {
+    SCOPED_TRACE(g);
+    SessionConfig config = small_config();
+    config.hop = config.window_length;  // raw hop 40
+    config.ring_capacity = 64;
+    Session session("u1", config);
+    std::vector<Sample> stream;
+    std::vector<SealedWindow> windows;
+    // A poll after samples 40 (the first window), 100 (the 60 that hold the
+    // gap), 120 and 140; the ring never holds more than 60.
+    for (const std::size_t end : {40U, 100U, 120U, 140U}) {
+      while (stream.size() < end) {
+        const auto i = static_cast<std::int64_t>(stream.size());
+        Sample sample = make_sample(i);
+        if (i >= 40 + g) sample.ts_us += 1'000'000;
+        ASSERT_TRUE(session.push(sample)) << "sample " << i;
+        stream.push_back(sample);
+      }
+      for (SealedWindow& w : session.poll()) windows.push_back(std::move(w));
+    }
+    const std::vector<std::int64_t> starts =
+        closed_form_starts({{0, 40 + g}, {40 + g, 100 - g}}, 40, 40);
+    ASSERT_EQ(starts.size(), g <= 20 ? 3U : 2U);
+    expect_windows_at(windows, starts, stream);
+    const SessionStats stats = session.stats();
+    EXPECT_EQ(stats.gaps, 1U);
+    EXPECT_EQ(stats.windows_sealed, starts.size());
+  }
 }
 
 TEST(Session, TumblingWindowsWhenHopEqualsLength) {
@@ -327,6 +430,62 @@ TEST(Session, FullRingDropsNewestAndCounts) {
   // 64 samples, raw window 40, raw hop 20 -> windows at 0 and 20.
   EXPECT_EQ(session.poll().size(), 2U);
   EXPECT_EQ(session.buffered(), 24U);
+}
+
+TEST(Session, OutOfOrderJustAfterTheHeadWrapsIsRejected) {
+  // The newest timestamp is the one in slot head - 1. Once the head wraps
+  // to slot 0 that is the ring's last slot, while slot 0 still holds the
+  // stream's oldest timestamp: a sample between the two must be rejected.
+  SessionConfig config = small_config();
+  config.ring_capacity = 64;
+  Session session("u1", config);
+  std::vector<Sample> stream;
+  for (std::int64_t i = 0; i < 64; ++i) {
+    stream.push_back(make_sample(i));
+    ASSERT_TRUE(session.push(stream.back()));
+  }
+  // Windows at 0 and 20 free slots 0..39; the next push writes slot 0.
+  std::vector<SealedWindow> windows = session.poll();
+  ASSERT_EQ(windows.size(), 2U);
+  EXPECT_FALSE(session.push(make_sample(1)));   // above slot 0's, below 63's
+  EXPECT_FALSE(session.push(make_sample(63)));  // equal to the newest
+  EXPECT_EQ(session.stats().out_of_order, 2U);
+  EXPECT_EQ(session.stats().samples_accepted, 64U);
+  for (std::int64_t i = 64; i < 80; ++i) {
+    stream.push_back(make_sample(i));
+    ASSERT_TRUE(session.push(stream.back()));
+  }
+  // The window at 40 runs from slot 40 across the wrap to slot 15.
+  for (SealedWindow& w : session.poll()) windows.push_back(std::move(w));
+  expect_windows_at(windows, {0, 20, 40}, stream);
+  EXPECT_EQ(session.stats().gaps, 0U);
+  EXPECT_EQ(session.stats().samples_dropped, 0U);
+}
+
+TEST(Session, SampleAfterAFullRingDropIsComparedWithTheLastAccepted) {
+  // A dropped sample leaves the ring's newest timestamp where it was: the
+  // next sample is ordered against the last accepted one, not the dropped
+  // one, and an out-of-order sample counts as such even when the ring is
+  // full.
+  SessionConfig config = small_config();
+  config.ring_capacity = 64;
+  Session session("u1", config);
+  for (std::int64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(session.push(make_sample(i)));
+  }
+  EXPECT_FALSE(session.push(make_sample(70)));  // full: dropped
+  EXPECT_FALSE(session.push(make_sample(10)));  // full, but out of order
+  SessionStats stats = session.stats();
+  EXPECT_EQ(stats.samples_dropped, 1U);
+  EXPECT_EQ(stats.out_of_order, 1U);
+  ASSERT_EQ(session.poll().size(), 2U);  // frees 40 slots
+  // Sample 64 is older than the dropped 70 but newer than the accepted 63.
+  EXPECT_TRUE(session.push(make_sample(64)));
+  EXPECT_FALSE(session.push(make_sample(64)));  // room, but not newer
+  stats = session.stats();
+  EXPECT_EQ(stats.samples_accepted, 65U);
+  EXPECT_EQ(stats.samples_dropped, 1U);
+  EXPECT_EQ(stats.out_of_order, 2U);
 }
 
 TEST(Session, AcceptedCountIsExactUnderConcurrentStatsReads) {
@@ -428,18 +587,23 @@ TEST(Session, ValidatesConfig) {
   // Huge finite source rates fail before anything converts or allocates.
   // With the paper's 120-sample windows at 20 Hz: at 1e300 Hz the
   // decimation factor has no int64 value; at 1e19 Hz the factor (5e17)
-  // fits but the raw window does not; at 1e17 Hz the raw window fits but
-  // its ring exceeds the ring's max_size(), as does an explicit
-  // 2^62-sample ring.
-  for (const double rate : {1e300, 1e19, 1e17}) {
+  // fits but the raw window does not; at 1e17, 1e15, 1e14 and 1e9 Hz the
+  // raw window fits but its ring (4 raw windows, 2.4e10 slots at 1e9 Hz)
+  // exceeds SpscRing::kMaxCapacity, 1 GiB of columns, as do an explicit ring
+  // one slot past it and a 2^62-slot one.
+  for (const double rate : {1e300, 1e19, 1e17, 1e15, 1e14, 1e9}) {
     SCOPED_TRACE(rate);
     config = SessionConfig{};
     config.source_rate_hz = rate;
     EXPECT_THROW(Session("u", config), std::invalid_argument);
   }
-  config = SessionConfig{};
-  config.ring_capacity = std::size_t{1} << 62;
-  EXPECT_THROW(Session("u", config), std::invalid_argument);
+  for (const std::size_t capacity :
+       {SpscRing::kMaxCapacity + 1, std::size_t{1} << 62}) {
+    SCOPED_TRACE(capacity);
+    config = SessionConfig{};
+    config.ring_capacity = capacity;
+    EXPECT_THROW(Session("u", config), std::invalid_argument);
+  }
 }
 
 TEST(Session, StreamedWindowsPreprocessBitIdenticalToBatchPath) {
