@@ -11,6 +11,7 @@
 #include "nn/attention.hpp"
 #include "models/classifier.hpp"
 #include "nn/gru.hpp"
+#include "stream/replay.hpp"
 #include "stream/session.hpp"
 #include "tensor/attention_fused.hpp"
 #include "tensor/eltwise/eltwise.hpp"
@@ -406,6 +407,38 @@ void BM_StreamWindow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * hop);
 }
 BENCHMARK(BM_StreamWindow)->Name("BM_StreamWindow/paper")->UseRealTime();
+
+// ---- seeded draws ----------------------------------------------------------
+// One util::Rng draw per iteration, and one 60 s, 100 Hz
+// stream::synthetic_trace: perfbench's per-session set-up unit (6,000
+// samples, 36,000 normal draws and sines), so `stream.trace_s` is about
+// this row times the session count.
+
+void BM_RngUniform(benchmark::State& state) {
+  util::Rng rng(21);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform(-1.0, 1.0));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniform)->UseRealTime();
+
+void BM_RngNormal(benchmark::State& state) {
+  util::Rng rng(22);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0.0, 0.05));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngNormal)->UseRealTime();
+
+void BM_SyntheticTrace(benchmark::State& state) {
+  for (auto _ : state) {
+    stream::ReplayTrace trace = stream::synthetic_trace("s", 23, 60.0, 100.0);
+    benchmark::DoNotOptimize(trace.samples.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 6000);
+}
+BENCHMARK(BM_SyntheticTrace)
+    ->Name("BM_SyntheticTrace/60s")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -20,7 +20,10 @@
 #                                 preprocess + quant + util suites — the
 #                                 eltwise/gemm/gemm_s8 kernel edge tiles, the
 #                                 pool's completion state on the caller's
-#                                 stack, the NoGrad tape-skip lifetimes, the
+#                                 stack, the MT19937-64 twist's index
+#                                 arithmetic over its 312-word state
+#                                 (test_util's engine, oracle and digest
+#                                 tests), the NoGrad tape-skip lifetimes, the
 #                                 backward closures over saved buffers, the
 #                                 ring's wraparound indexing and the
 #                                 block-average kernel's pointer arithmetic

@@ -106,17 +106,28 @@ ReplayTrace load_csv(const std::string& path) {
 ReplayTrace synthetic_trace(const std::string& session, std::uint64_t seed,
                             double seconds, double rate_hz,
                             double regime_seconds) {
-  if (seconds <= 0.0 || rate_hz <= 0.0 || regime_seconds <= 0.0) {
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  if (!positive(seconds) || !positive(rate_hz) || !positive(regime_seconds)) {
     throw std::invalid_argument(
         "synthetic_trace: seconds, rate_hz and regime_seconds must be "
-        "positive");
+        "positive and finite");
+  }
+  // 2^25 samples are 1 GiB of 32-byte Samples, the bound SpscRing puts on a
+  // ring too; checked on the double so nothing overflows converting it.
+  const double samples = seconds * rate_hz;
+  if (!(samples <= static_cast<double>(SpscRing::kMaxCapacity))) {
+    throw std::invalid_argument(
+        "synthetic_trace: seconds * rate_hz exceeds 2^25 samples");
   }
   util::Rng rng(seed);
   ReplayTrace trace;
   trace.session = session;
-  const auto count = static_cast<std::int64_t>(std::llround(seconds * rate_hz));
+  const auto count = static_cast<std::int64_t>(std::llround(samples));
+  // A regime longer than the trace is one regime: clamping it to the trace
+  // keeps llround in range, and a regime under half a sample is one sample.
   const std::int64_t regime_len = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::llround(regime_seconds * rate_hz)));
+      1, static_cast<std::int64_t>(std::llround(
+             std::min(regime_seconds * rate_hz, static_cast<double>(count)))));
   trace.samples.reserve(static_cast<std::size_t>(count));
   std::array<double, kStreamChannels> amp{};
   std::array<double, kStreamChannels> freq{};

@@ -76,7 +76,9 @@ ReplayTrace load_csv(const std::string& path);
 /// A deterministic synthetic capture for tests/benchmarks: `seconds` of
 /// 6-axis data at `rate_hz` whose motion regime switches every
 /// `regime_seconds`, giving the classifier distinguishable segments without
-/// any file on disk.
+/// any file on disk. Throws std::invalid_argument, before allocating, unless
+/// all three are positive and finite and `seconds * rate_hz` is at most
+/// 2^25 samples (1 GiB).
 ReplayTrace synthetic_trace(const std::string& session, std::uint64_t seed,
                             double seconds, double rate_hz,
                             double regime_seconds = 6.0);

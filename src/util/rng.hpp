@@ -6,8 +6,9 @@
 // from one root seed (splitmix64), so modules never share generator state.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace saga::util {
@@ -56,16 +57,71 @@ class FastRng {
   std::uint64_t s1_;
 };
 
+/// MT19937-64 with std::mt19937_64's seeding, recurrence and tempering, so
+/// one seed gives the same outputs as std::mt19937_64. The twist takes its
+/// matrix term with a mask rather than a branch on a random bit, and each
+/// output is tempered as it is drawn, so the state stays 312 words (the
+/// size of std::mt19937_64). A UniformRandomBitGenerator over the full
+/// 64-bit range, so std::shuffle and the std distributions accept it.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit Mt19937_64(result_type seed) noexcept;
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (next_ == kWords) twist();
+    result_type z = state_[next_++];
+    z ^= (z >> 29U) & 0x5555555555555555ULL;
+    z ^= (z << 17U) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37U) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43U);
+  }
+
+ private:
+  static constexpr std::size_t kWords = 312;
+
+  /// Regenerates all 312 state words (the recurrence); resets next_ to 0.
+  void twist() noexcept;
+
+  std::array<result_type, kWords> state_;
+  std::size_t next_;
+};
+
+namespace detail {
+
+/// std::generate_canonical<double, 53> of one 64-bit engine output as
+/// libstdc++ computes it: the output rounded once to double, times 2^-64,
+/// with a result of 1 (outputs from 2^64 - 1024 up) clamped to the largest
+/// double below 1. Computed without the sign-bit branch of the compiler's
+/// uint64 -> double conversion.
+double canonical(std::uint64_t bits) noexcept;
+
+}  // namespace detail
+
 /// A seeded random generator with the distributions Saga needs.
+///
+/// Its sequence is std::mt19937_64's, and uniform() and normal() compute
+/// exactly what libstdc++'s uniform_real_distribution and a freshly
+/// constructed normal_distribution compute from it, so every seeded number
+/// keeps the bits it had when Rng wrapped those classes. uniform_int,
+/// geometric_clipped and permutation still go through the standard library.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Uniform real in [lo, hi).
+  /// Uniform real in [lo, hi): canonical * (hi - lo) + lo.
   double uniform(double lo = 0.0, double hi = 1.0);
   /// Uniform integer in [lo, hi] (inclusive).
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-  /// Standard normal scaled to mean/stddev.
+  /// Standard normal scaled to mean/stddev, by one Marsaglia polar pass per
+  /// call. The pass yields two variates; normal() returns one and discards
+  /// the other, as a std::normal_distribution constructed per call does.
+  /// Keeping the second would halve the cost but move every seeded number
+  /// after the first.
   double normal(double mean = 0.0, double stddev = 1.0);
   /// Geometric draw (number of trials until first success), clipped to
   /// [1, max_value]; this is the span-length distribution of paper Eq. in
@@ -76,10 +132,10 @@ class Rng {
   std::vector<std::size_t> permutation(std::size_t n);
 
   /// Access the underlying engine (for std::shuffle etc.).
-  std::mt19937_64& engine() noexcept { return engine_; }
+  Mt19937_64& engine() noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace saga::util

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <exception>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace saga::util {
 
 namespace {
@@ -10,10 +14,24 @@ namespace {
 // inside a worker run serially, which avoids the classic deadlock where every
 // worker blocks waiting on sub-tasks that are queued behind them.
 thread_local bool t_in_pool_worker = false;
+
+// CPUs the calling thread may run on: its affinity mask where the OS gives
+// one (so `taskset -c 1` means one worker), else the hardware's count.
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  std::size_t n = threads != 0 ? threads : std::thread::hardware_concurrency();
+  std::size_t n = threads != 0 ? threads : usable_cpus();
   n = std::max<std::size_t>(n, 1);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

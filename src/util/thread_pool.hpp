@@ -16,7 +16,8 @@ namespace saga::util {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// Creates `threads` workers; 0 means one per CPU in the calling thread's
+  /// affinity mask (std::thread::hardware_concurrency() where there is none).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

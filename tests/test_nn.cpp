@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gradcheck.hpp"
 #include "models/backbone.hpp"
 #include "models/classifier.hpp"

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -858,6 +859,57 @@ TEST(Composer, ValidatesConfig) {
   config = ComposerConfig{};
   config.rules.push_back({"negative", {0, -1}});
   EXPECT_THROW(Composer{config}, std::invalid_argument);
+}
+
+// ---- synthetic traces ------------------------------------------------------
+
+std::vector<std::uint64_t> sample_bits(const ReplayTrace& trace) {
+  std::vector<std::uint64_t> bits;
+  for (const Sample& s : trace.samples) {
+    bits.push_back(static_cast<std::uint64_t>(s.ts_us));
+    for (const float v : s.v) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  }
+  return bits;
+}
+
+// Every argument must be positive and finite, and the trace at most 2^25
+// samples (1 GiB), checked before anything is converted or allocated: a NaN
+// or huge count would otherwise overflow llround and reach reserve(), and a
+// NaN regime would silently become a new regime at every sample.
+TEST(SyntheticTrace, RejectsNonFiniteAndOversizedArguments) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, kInf, -kInf, 0.0, -1.0}) {
+    EXPECT_THROW((void)synthetic_trace("a", 1, bad, 100.0), std::invalid_argument)
+        << "seconds " << bad;
+    EXPECT_THROW((void)synthetic_trace("a", 1, 1.0, bad), std::invalid_argument)
+        << "rate_hz " << bad;
+    EXPECT_THROW((void)synthetic_trace("a", 1, 1.0, 100.0, bad),
+                 std::invalid_argument)
+        << "regime_seconds " << bad;
+  }
+  EXPECT_THROW((void)synthetic_trace("a", 1, 1e300, 100.0), std::invalid_argument);
+  EXPECT_THROW((void)synthetic_trace("a", 1, 1e200, 1e200), std::invalid_argument);
+  EXPECT_THROW((void)synthetic_trace("a", 1, 1e12, 100.0), std::invalid_argument);
+  // One sample past 2^25.
+  EXPECT_THROW((void)synthetic_trace("a", 1, 33554433.0, 1.0),
+               std::invalid_argument);
+  // Tiny regimes still clamp to one sample each.
+  EXPECT_EQ(synthetic_trace("a", 1, 0.05, 100.0, 1e-300).samples.size(), 5U);
+}
+
+// A regime longer than the trace, however long, is one regime: the same
+// samples, bit for bit, as a regime exactly as long as the trace.
+TEST(SyntheticTrace, RegimeLongerThanTheTraceIsOneRegime) {
+  const std::vector<std::uint64_t> one_regime =
+      sample_bits(synthetic_trace("a", 5, 2.0, 100.0, 2.0));
+  ASSERT_EQ(one_regime.size(), 200U * 7U);
+  for (const double regime : {2.5, 1e6, 1e17, 1e300}) {
+    EXPECT_EQ(sample_bits(synthetic_trace("a", 5, 2.0, 100.0, regime)),
+              one_regime)
+        << "regime_seconds " << regime;
+  }
+  EXPECT_NE(sample_bits(synthetic_trace("a", 5, 2.0, 100.0, 1.0)), one_regime);
 }
 
 // ---- CSV fixtures and parser --------------------------------------------

@@ -2,12 +2,27 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <concepts>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <set>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "data/synthetic.hpp"
+#include "models/backbone.hpp"
+#include "models/classifier.hpp"
+#include "stream/replay.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
@@ -81,6 +96,315 @@ TEST(Rng, PermutationIsAPermutation) {
   EXPECT_EQ(*unique.rbegin(), 49U);
 }
 
+// ---- bit pins for every seeded stream ---------------------------------------
+
+// std::mt19937_64's outputs are fixed by the standard, so the engine is
+// checked against it on any library: ten twists for a spread of seeds, and
+// the standard's required 10000th output of a default-seeded engine.
+TEST(RngBits, EngineMatchesStdMt19937_64) {
+  static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+  static_assert(std::same_as<Mt19937_64::result_type, std::uint64_t>);
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  static_assert(sizeof(Rng) == sizeof(std::mt19937_64));
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        std::uint64_t{0x9E3779B97F4A7C15ULL}, ~std::uint64_t{0}}) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 10 * 312; ++i) {
+      ASSERT_EQ(engine(), oracle()) << "seed " << seed << " output " << i;
+    }
+  }
+  Mt19937_64 standard(5489);
+  std::uint64_t out = 0;
+  for (int i = 0; i < 10000; ++i) out = standard();
+  EXPECT_EQ(out, 9981545732273789042ULL);
+}
+
+// Everything below pins bits that depend on libstdc++: the distributions
+// Rng still takes from it (uniform_int, geometric, shuffle) and the ones it
+// reproduces (uniform, normal, generate_canonical).
+#if defined(__GLIBCXX__)
+
+// 64-bit FNV-1a over the object representation of each value added.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char byte : bytes) {
+      hash_ = (hash_ ^ byte) * 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct DrawDigests {
+  std::uint64_t seed;
+  std::uint64_t uniform;
+  std::uint64_t normal;
+  std::uint64_t uniform_int;
+  std::uint64_t geometric;
+  std::uint64_t permutation;
+};
+
+// FNV-1a of `draws` values of draw(rng, i) from a fresh Rng(seed).
+template <typename Draw>
+std::uint64_t digest_of(std::uint64_t seed, int draws, Draw draw) {
+  Rng rng(seed);
+  Fnv1a h;
+  for (int i = 0; i < draws; ++i) h.add(draw(rng, i));
+  return h.value();
+}
+
+// 10,000 draws of each distribution, alternating default and explicit
+// parameters (and, for uniform_int, the full int64 range, where libstdc++
+// returns the engine's raw output), then one permutation(1000).
+DrawDigests draw_digests(std::uint64_t seed) {
+  constexpr int kDraws = 10000;
+  DrawDigests out{seed, 0, 0, 0, 0, 0};
+  out.uniform = digest_of(seed, kDraws, [](Rng& rng, int i) {
+    return i % 2 == 0 ? rng.uniform() : rng.uniform(-3.5, 12.25);
+  });
+  out.normal = digest_of(seed, kDraws, [](Rng& rng, int i) {
+    return i % 2 == 0 ? rng.normal() : rng.normal(1.5, 0.25);
+  });
+  out.uniform_int = digest_of(seed, kDraws, [](Rng& rng, int i) {
+    switch (i % 3) {
+      case 0: return rng.uniform_int(0, 9);
+      case 1: return rng.uniform_int(-1000000, std::int64_t{1} << 40);
+      default:
+        return rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                               std::numeric_limits<std::int64_t>::max());
+    }
+  });
+  out.geometric = digest_of(seed, kDraws, [](Rng& rng, int i) {
+    return i % 2 == 0 ? rng.geometric_clipped(0.2, 10)
+                      : rng.geometric_clipped(0.01, 1000);
+  });
+  Rng rng(seed);
+  Fnv1a h;
+  for (const std::size_t i : rng.permutation(1000)) h.add(i);
+  out.permutation = h.value();
+  return out;
+}
+
+struct SeededDigests {
+  std::uint64_t seed;
+  std::uint64_t trace;
+  std::uint64_t backbone;
+  std::uint64_t classifier;
+  std::uint64_t dataset;
+};
+
+std::uint64_t parameter_digest(const nn::Module& module) {
+  Fnv1a h;
+  for (const Tensor& p : module.parameters()) {
+    for (const float v : p.data()) h.add(v);
+  }
+  return h.value();
+}
+
+SeededDigests seeded_digests(std::uint64_t seed) {
+  SeededDigests out{seed, 0, 0, 0, 0};
+  {
+    const stream::ReplayTrace trace =
+        stream::synthetic_trace("a", seed, 60.0, 100.0);
+    Fnv1a h;
+    for (const stream::Sample& s : trace.samples) {
+      h.add(s.ts_us);
+      for (const float v : s.v) h.add(v);
+    }
+    out.trace = h.value();
+  }
+  {
+    models::BackboneConfig config;
+    config.seed = seed;
+    out.backbone = parameter_digest(models::LimuBertBackbone(config));
+  }
+  {
+    models::ClassifierConfig config;
+    config.seed = seed;
+    out.classifier = parameter_digest(models::GruClassifier(config));
+  }
+  {
+    data::SyntheticSpec spec = data::hhar_like(600);
+    spec.seed = seed;
+    const data::Dataset dataset = data::generate_dataset(spec);
+    Fnv1a h;
+    for (const data::IMUWindow& w : dataset.samples) {
+      for (const float v : w.values) h.add(v);
+      h.add(w.activity);
+      h.add(w.user);
+      h.add(w.placement);
+      h.add(w.device);
+    }
+    out.dataset = h.value();
+  }
+  return out;
+}
+
+// Golden digests, taken at commit 2525faa, where Rng wrapped
+// std::mt19937_64 and constructed libstdc++'s distributions per call. Every
+// seeded number in Saga (model init, the synthetic datasets behind the
+// paper's tables, masks, shuffles, stream traces) comes from these streams,
+// so a change that moves one bit of them fails here. The digests also take
+// glibc's libm (sin, log) as given.
+constexpr DrawDigests kGoldenDraws[] = {
+    {1, 0xb9f7733accd40067ULL, 0xb436b8ca7fcb806bULL, 0xcb3903889862825aULL,
+     0x4eacfab3f3d74a0eULL, 0x8b6ec0aa1253ea39ULL},
+    {99, 0xea8de3a3f5e4af5eULL, 0x8d14210dc56291ddULL, 0xb02fdbed9fa52982ULL,
+     0x877d7efbe2cbdb3cULL, 0x40e87e8cb9100471ULL},
+    {1234567, 0x0643674cb5259920ULL, 0x59a81163991af585ULL,
+     0x8e3b9c11e7682f53ULL, 0xe677143a58f11121ULL, 0x4cd0b0b33cd034c1ULL},
+};
+constexpr SeededDigests kGoldenSeeded[] = {
+    {1, 0x0d4c18400fdc72e0ULL, 0x5b2633661985bc7eULL, 0x9ee4b6032da97e8cULL,
+     0x4129c5356e80be88ULL},
+    {99, 0xf869ef03c3d98af9ULL, 0x0791351beee317fbULL, 0x3cb5c672c4bfe0a6ULL,
+     0x806e14f5067e9bd9ULL},
+    {1234567, 0x400e758b25977879ULL, 0xea4461e077854301ULL,
+     0x6781569343d78dcaULL, 0x78e44adc5c606dfaULL},
+};
+
+TEST(RngBits, DrawsMatchGoldenDigests) {
+  for (const DrawDigests& golden : kGoldenDraws) {
+    const DrawDigests got = draw_digests(golden.seed);
+    EXPECT_EQ(got.uniform, golden.uniform) << "seed " << golden.seed;
+    EXPECT_EQ(got.normal, golden.normal) << "seed " << golden.seed;
+    EXPECT_EQ(got.uniform_int, golden.uniform_int) << "seed " << golden.seed;
+    EXPECT_EQ(got.geometric, golden.geometric) << "seed " << golden.seed;
+    EXPECT_EQ(got.permutation, golden.permutation) << "seed " << golden.seed;
+  }
+}
+
+TEST(RngBits, TraceModelsAndDatasetMatchGoldenDigests) {
+  for (const SeededDigests& golden : kGoldenSeeded) {
+    const SeededDigests got = seeded_digests(golden.seed);
+    EXPECT_EQ(got.trace, golden.trace) << "seed " << golden.seed;
+    EXPECT_EQ(got.backbone, golden.backbone) << "seed " << golden.seed;
+    EXPECT_EQ(got.classifier, golden.classifier) << "seed " << golden.seed;
+    EXPECT_EQ(got.dataset, golden.dataset) << "seed " << golden.seed;
+  }
+}
+
+// The libstdc++ oracle: Rng's draws against std::mt19937_64 fed through
+// uniform_real_distribution, a normal_distribution constructed per call
+// (so the polar method's second variate is never used),
+// uniform_int_distribution and geometric_distribution, interleaved in a
+// seeded order so normal()'s rejections shift every later draw.
+TEST(RngBits, MatchesLibstdcxxDistributions) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    FastRng order(seed);
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t pick = order.next();
+      const bool defaults = (pick & 8U) != 0;
+      double got = 0.0;
+      double want = 0.0;
+      switch (pick & 3U) {
+        case 0:
+          got = defaults ? rng.uniform() : rng.uniform(-2.5, 7.0);
+          want = defaults
+                     ? std::uniform_real_distribution<double>()(oracle)
+                     : std::uniform_real_distribution<double>(-2.5, 7.0)(oracle);
+          break;
+        case 1:
+          got = defaults ? rng.normal() : rng.normal(0.5, 3.0);
+          want = defaults ? std::normal_distribution<double>()(oracle)
+                          : std::normal_distribution<double>(0.5, 3.0)(oracle);
+          break;
+        case 2: {
+          const std::int64_t lo = defaults ? kMin : -7;
+          const std::int64_t hi = defaults ? kMax : 1000;
+          ASSERT_EQ(rng.uniform_int(lo, hi),
+                    std::uniform_int_distribution<std::int64_t>(lo, hi)(oracle))
+              << "seed " << seed << " draw " << i;
+          continue;
+        }
+        default:
+          ASSERT_EQ(rng.geometric_clipped(0.2, 10),
+                    std::min<std::int64_t>(
+                        std::geometric_distribution<std::int64_t>(0.2)(oracle) + 1,
+                        10))
+              << "seed " << seed << " draw " << i;
+          continue;
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// A URBG that returns one fixed output, then zeros (a generate_canonical
+// that redrew on a result of 1 would then still terminate).
+struct FixedOutput {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return std::exchange(value, 0); }
+  result_type value;
+};
+
+// detail::canonical against std::generate_canonical<double, 53> where the
+// uint64 -> double rounding is delicate. Doubles in [2^63, 2^64) are 2048
+// apart: 2^64 - 1025 rounds down to 2^64 - 2048, 2^64 - 1024 is a tie that
+// rounds to even (2^64), and from there up the sum is 2^64 and the result
+// takes the clamp to the largest double below 1. No seed reaches the clamp
+// in practice (probability 2^-54 a draw), so only this test covers it.
+TEST(RngBits, CanonicalMatchesGenerateCanonicalAtTheEdges) {
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};  // 2^64 - 1
+  const double below_one = std::nextafter(1.0, 0.0);
+  std::vector<std::uint64_t> outputs = {
+      0, 1, (std::uint64_t{1} << 53) - 1, std::uint64_t{1} << 53,
+      (std::uint64_t{1} << 53) + 1, (std::uint64_t{1} << 63) - 1,
+      std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 1,
+      kTop - 2048,  // 2^64 - 2049
+      kTop - 2047,  // 2^64 - 2048, exact
+      kTop - 1024,  // 2^64 - 1025
+      kTop - 1023,  // 2^64 - 1024, the tie
+      kTop - 1022,  // 2^64 - 1023
+      kTop};
+  // Around every power of two, and a seeded spread of ordinary outputs.
+  for (unsigned bit = 1; bit < 64; ++bit) {
+    const std::uint64_t p = std::uint64_t{1} << bit;
+    // p >> 53 is half the double spacing above p once p passes 2^53: the
+    // two ties round to even (down, then up), the last value rounds up.
+    const std::uint64_t half = p >> 53U;
+    for (const std::uint64_t v :
+         {p - 1, p, p + 1, p + half, p + 3 * half, p + half + 1}) {
+      outputs.push_back(v);
+    }
+  }
+  FastRng spread(11);
+  for (int i = 0; i < 100000; ++i) outputs.push_back(spread.next());
+  for (const std::uint64_t v : outputs) {
+    FixedOutput urbg{v};
+    const double want = std::generate_canonical<double, 53>(urbg);
+    const double got = detail::canonical(v);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "output " << v;
+    ASSERT_LT(got, 1.0) << "output " << v;
+  }
+  for (const std::uint64_t v : {kTop - 2048, kTop - 2047, kTop - 1023, kTop}) {
+    EXPECT_EQ(detail::canonical(v), below_one) << "output " << v;
+  }
+  EXPECT_EQ(detail::canonical(0), 0.0);
+  EXPECT_EQ(detail::canonical(std::uint64_t{1} << 63), 0.5);
+}
+#endif  // __GLIBCXX__
+
 TEST(FastRng, Uniform01InRange) {
   FastRng rng(9);
   for (int i = 0; i < 10000; ++i) {
@@ -153,6 +477,34 @@ TEST(ThreadPool, ConcurrentCallersRunEveryIndexOnce) {
   for (auto& caller : callers) caller.join();
   EXPECT_EQ(bad_calls.load(), 0);
 }
+
+#if defined(__linux__)
+// ThreadPool(0) starts one worker per CPU the process may run on, so a pool
+// built under `taskset -c 1` gets one worker, not one per CPU of the host.
+TEST(ThreadPool, DefaultSizeCountsTheAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  if (sched_getaffinity(0, sizeof(original), &original) != 0) {
+    GTEST_SKIP() << "sched_getaffinity failed";
+  }
+  if (CPU_COUNT(&original) < 2) GTEST_SKIP() << "one CPU available";
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  std::size_t pinned_size = 0;
+  {
+    ThreadPool pool(0);
+    pinned_size = pool.size();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(pinned_size, 1U);
+  EXPECT_EQ(ThreadPool(0).size(),
+            static_cast<std::size_t>(CPU_COUNT(&original)));
+}
+#endif
 
 TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(
